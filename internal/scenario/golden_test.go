@@ -13,53 +13,68 @@ import (
 //	go test ./internal/scenario -run TestGolden -bless
 var bless = flag.Bool("bless", false, "regenerate golden summaries instead of comparing")
 
-const dagGoldenPath = "testdata/golden/socialnet-dag.summary.txt"
+// goldenScenarios are the byte-pinned scenario summaries: the DAG pipeline
+// (socialnet-dag), the router's crash/failover/zombie path (failover), its
+// intensity actions, drain and faults (rolling-deploy), and a DAG rooted
+// on VM 1 (graph-root-vm1), whose summary moves if the dispatcher's
+// generator streams are drawn in any other order.
+var goldenScenarios = []struct{ name, path string }{
+	{"socialnet-dag", "../../scenarios/socialnet-dag.yaml"},
+	{"failover", "../../scenarios/failover.yaml"},
+	{"rolling-deploy", "../../scenarios/rolling-deploy.yaml"},
+	{"graph-root-vm1", "testdata/graph-root-vm1.yaml"},
+}
 
-// TestGoldenSocialnetDAG pins the full rendered summary of the shipped
-// socialnet-dag scenario byte for byte. The summary is a pure function of
-// the scenario (no wall-clock, no map order), so any drift is a behaviour
-// change in the DAG pipeline — the dispatcher, the join state machine, the
-// sketches, or the renderer — and must be reviewed and re-blessed.
-func TestGoldenSocialnetDAG(t *testing.T) {
-	sc, err := Load("../../scenarios/socialnet-dag.yaml")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := sc.RunShards(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.OK() {
-		t.Fatalf("golden scenario failed its own assertions:\n%s", rep.Summary)
-	}
-	if *bless {
-		if err := os.MkdirAll(filepath.Dir(dagGoldenPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(dagGoldenPath, []byte(rep.Summary), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("blessed %s (%d bytes)", dagGoldenPath, len(rep.Summary))
-		return
-	}
-	want, err := os.ReadFile(dagGoldenPath)
-	if err != nil {
-		t.Fatalf("load golden summary (regenerate with -bless): %v", err)
-	}
-	if rep.Summary != string(want) {
-		t.Fatalf("summary drifted from blessed golden:\n%s", firstDiffLine(string(want), rep.Summary))
-	}
+// TestGolden pins the full rendered summary of each golden scenario byte
+// for byte. A summary is a pure function of its scenario (no wall-clock,
+// no map order), so any drift is a behaviour change — in the router, the
+// dispatcher, the join state machine, the sketches, or the renderer — and
+// must be reviewed and re-blessed.
+func TestGolden(t *testing.T) {
+	for _, g := range goldenScenarios {
+		t.Run(g.name, func(t *testing.T) {
+			goldenPath := filepath.Join("testdata", "golden", g.name+".summary.txt")
+			sc, err := Load(g.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := sc.RunShards(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.OK() {
+				t.Fatalf("golden scenario failed its own assertions:\n%s", rep.Summary)
+			}
+			if *bless {
+				if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(goldenPath, []byte(rep.Summary), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				t.Logf("blessed %s (%d bytes)", goldenPath, len(rep.Summary))
+				return
+			}
+			want, err := os.ReadFile(goldenPath)
+			if err != nil {
+				t.Fatalf("load golden summary (regenerate with -bless): %v", err)
+			}
+			if rep.Summary != string(want) {
+				t.Fatalf("summary drifted from blessed golden:\n%s", firstDiffLine(string(want), rep.Summary))
+			}
 
-	// The artifact must be shard-invariant too: a golden blessed at one
-	// worker count must match any other.
-	for _, shards := range []int{2, 8} {
-		got, err := quick(t, mustRead(t, "../../scenarios/socialnet-dag.yaml")).RunShards(shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Summary != string(want) {
-			t.Fatalf("golden diverged at shards=%d:\n%s", shards, firstDiffLine(string(want), got.Summary))
-		}
+			// The artifact must be shard-invariant too: a golden blessed at
+			// one worker count must match any other.
+			for _, shards := range []int{2, 8} {
+				got, err := quick(t, mustRead(t, g.path)).RunShards(shards)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Summary != string(want) {
+					t.Fatalf("golden diverged at shards=%d:\n%s", shards, firstDiffLine(string(want), got.Summary))
+				}
+			}
+		})
 	}
 }
 

@@ -31,9 +31,12 @@ CHECK=0
 [[ "${1:-}" == "-check" ]] && CHECK=1
 
 # ns-gated: end-to-end hot paths (the server loop carries the always-on
-# invariant checker; the sharded path carries the fleet runner).
+# invariant checker; the sharded path carries the fleet runner). The
+# allocation pins cover one benchmark per layer: engine, server, shard
+# group, router (BenchmarkRoutedFleet), and DAG dispatcher
+# (BenchmarkGraphDispatch).
 NS_GATED_RE='BenchmarkServerSimulation$'
-OTHER_RE='BenchmarkServerNilObserver|BenchmarkEngineScheduleCall$|BenchmarkEngineScheduleClosure|BenchmarkEngineHeapChurn|BenchmarkShardedVsSerial'
+OTHER_RE='BenchmarkServerNilObserver|BenchmarkEngineScheduleCall$|BenchmarkEngineScheduleClosure|BenchmarkEngineHeapChurn|BenchmarkShardedVsSerial|BenchmarkRoutedFleet$|BenchmarkGraphDispatch$'
 OUT=$(mktemp)
 trap 'rm -f "$OUT"' EXIT
 
