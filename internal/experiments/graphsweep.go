@@ -5,6 +5,7 @@ import (
 
 	"hardharvest/internal/batch"
 	"hardharvest/internal/cluster"
+	"hardharvest/internal/front"
 	"hardharvest/internal/graph"
 	"hardharvest/internal/sim"
 )
@@ -47,20 +48,14 @@ func GraphSweep(sc Scale) *Table {
 // HardHarvest-Block system while the rest stay NoHarvest, isolating the
 // placement's harvesting interference in the end-to-end distribution.
 func runGraphFleet(sc Scale, spec *graph.Spec, placement string) *graph.Result {
-	var groups []string
-	groupIdx := map[string]int{}
-	for i := range spec.Tiers {
-		if _, ok := groupIdx[spec.Tiers[i].Group]; !ok {
-			groupIdx[spec.Tiers[i].Group] = len(groups)
-			groups = append(groups, spec.Tiers[i].Group)
-		}
-	}
 	work, err := batch.WorkloadByName("BFS")
 	if err != nil {
 		panic(err)
 	}
+	groups := spec.Groups()
 	fleet := make([]*cluster.Server, len(groups))
 	backends := make([]graph.Backend, len(groups))
+	tiers := make([][]int, len(spec.Tiers))
 	for gi, gname := range groups {
 		kind := cluster.NoHarvest
 		if placement == "all" || placement == gname {
@@ -74,36 +69,15 @@ func runGraphFleet(sc Scale, spec *graph.Spec, placement string) *graph.Result {
 		fleet[gi] = cluster.NewServer(cfg, opts, work)
 		backends[gi] = graph.Backend{Server: fleet[gi], Cfg: cfg,
 			Name: fmt.Sprintf("server%d[%s]", gi, gname)}
-	}
-	tiers := make([][]int, len(spec.Tiers))
-	for ti := range spec.Tiers {
-		tiers[ti] = []int{groupIdx[spec.Tiers[ti].Group]}
+		for ti := range spec.Tiers {
+			if spec.Tiers[ti].Group == gname {
+				tiers[ti] = []int{gi}
+			}
+		}
 	}
 	gd := graph.New(spec, backends, tiers)
 	group := sim.NewShardGroup(0)
-	self := group.AddFunc(gd.Engine(), gd.Advance)
-	members := make([]int, len(fleet))
-	for i, srv := range fleet {
-		srv := srv
-		m := group.AddFunc(srv.Engine(), func(to sim.Time) {
-			if h := srv.Horizon(); to > h {
-				to = h
-			}
-			srv.StepTo(to)
-		})
-		group.Link(self, m, spec.NetDelay)
-		group.Link(m, self, spec.NetDelay)
-		members[i] = m
-	}
-	gd.Bind(group, self, members)
-	horizon := sim.Time(0)
-	for _, srv := range fleet {
-		srv.Start()
-		if h := srv.Horizon(); h > horizon {
-			horizon = h
-		}
-	}
-	group.Run(horizon)
+	group.Run(front.Wire(group, gd, fleet))
 	for _, srv := range fleet {
 		srv.Finish()
 	}

@@ -1,0 +1,152 @@
+package front
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"hardharvest/internal/batch"
+	"hardharvest/internal/cluster"
+	"hardharvest/internal/sim"
+)
+
+// stub is a minimal front door: it dispatches every arrival to backend 0
+// and counts replies, so the core's plumbing runs end to end on its own.
+type stub struct {
+	Core[*stub, sim.Time]
+	admitted, done, shed int
+}
+
+func newStub(t *testing.T, n int, edit func(i int, cfg *cluster.Config)) (*stub, []*cluster.Server) {
+	t.Helper()
+	work, err := batch.WorkloadByName("BFS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var specs []Backend
+	var servers []*cluster.Server
+	for i := 0; i < n; i++ {
+		cfg := cluster.DefaultConfig()
+		cfg.Seed = 40 + uint64(i)*7919
+		cfg.WarmupDuration = 2 * sim.Millisecond
+		cfg.MeasureDuration = 20 * sim.Millisecond
+		if edit != nil {
+			edit(i, &cfg)
+		}
+		opts := cluster.SystemOptions(cluster.HardHarvestBlock)
+		opts.RemoteAdmission = true
+		srv := cluster.NewServer(cfg, opts, work)
+		servers = append(servers, srv)
+		specs = append(specs, Backend{Server: srv, Cfg: cfg})
+	}
+	s := &stub{}
+	s.Init("stub", s, 20*sim.Microsecond, specs, Handlers[sim.Time]{
+		Admit: func(g *Gen) {
+			s.admitted++
+			s.Dispatch(s.Port(0), g.VM, s.Now())
+		},
+		Reply: func(_ uint64, _ sim.Time, shed bool) {
+			if shed {
+				s.shed++
+			} else {
+				s.done++
+			}
+		},
+	})
+	for i, spec := range specs {
+		s.AddSource(i, spec.Cfg, 0x1234, []int{0, 1})
+	}
+	return s, servers
+}
+
+// TestCoreRunsAFleet: a stub front door wired by Wire generates, dispatches
+// and resolves traffic, and every attempt it sent comes back.
+func TestCoreRunsAFleet(t *testing.T) {
+	s, servers := newStub(t, 2, nil)
+	g := sim.NewShardGroup(1)
+	horizon := Wire(g, s, servers)
+	if horizon != s.Horizon() {
+		t.Fatalf("Wire horizon %v, core horizon %v", horizon, s.Horizon())
+	}
+	g.Run(horizon)
+	if s.admitted == 0 {
+		t.Fatal("no arrivals generated")
+	}
+	if s.done+s.shed != s.admitted || s.Outstanding() != 0 {
+		t.Fatalf("admitted %d, resolved %d+%d, outstanding %d",
+			s.admitted, s.done, s.shed, s.Outstanding())
+	}
+	if got := s.Port(1).Name; got != "backend[1]" {
+		t.Fatalf("default backend name %q", got)
+	}
+}
+
+// TestIntensityKnobs: the per-source, per-VM and fleet-wide knobs reach
+// exactly the generators they name.
+func TestIntensityKnobs(t *testing.T) {
+	s, _ := newStub(t, 2, nil)
+	s.SetIntensity(0, 2)
+	s.SetVMIntensity(1, 1, 3)
+	for _, c := range []struct {
+		src, vm int
+		want    float64
+	}{{0, 0, 2}, {0, 1, 2}, {1, 0, 1}, {1, 1, 3}, {9, 0, 0}} {
+		if got := s.Intensity(c.src, c.vm); got != c.want {
+			t.Errorf("Intensity(%d,%d) = %v, want %v", c.src, c.vm, got, c.want)
+		}
+	}
+	s.SetIntensityAll(0.5)
+	if s.Intensity(0, 1) != 0.5 || s.Intensity(1, 0) != 0.5 {
+		t.Error("SetIntensityAll missed a generator")
+	}
+}
+
+// TestActionsRunInOrder: scheduled actions fire as engine events, at their
+// time, with the owner as argument.
+func TestActionsRunInOrder(t *testing.T) {
+	s, servers := newStub(t, 1, nil)
+	var log []string
+	g := sim.NewShardGroup(1)
+	horizon := Wire(g, s, servers)
+	at := func(ms int) sim.Time { return sim.Time(sim.Duration(ms) * sim.Millisecond) }
+	s.SetActions([]Action[*stub]{
+		{At: at(3), Fn: func(f *stub) { log = append(log, fmt.Sprintf("a@%v", f.Now())) }},
+		{At: at(5), Seq: 1, Fn: func(f *stub) { log = append(log, fmt.Sprintf("b@%v", f.Now())) }},
+	})
+	g.Run(horizon)
+	want := []string{fmt.Sprintf("a@%v", at(3)), fmt.Sprintf("b@%v", at(5))}
+	if strings.Join(log, ",") != strings.Join(want, ",") {
+		t.Fatalf("actions fired %v, want %v", log, want)
+	}
+}
+
+// TestCorePanics: construction and ledger invariants fail loudly with the
+// owner's package prefix.
+func TestCorePanics(t *testing.T) {
+	mustPanic := func(name, frag string, fn func()) {
+		t.Helper()
+		defer func() {
+			r := recover()
+			if r == nil || !strings.Contains(fmt.Sprint(r), frag) {
+				t.Fatalf("%s: panic %v, want one containing %q", name, r, frag)
+			}
+		}()
+		fn()
+	}
+	mustPanic("no backends", "stub: no backends", func() {
+		var s stub
+		s.Init("stub", &s, sim.Microsecond, nil, Handlers[sim.Time]{})
+	})
+	mustPanic("window", "stub: backends disagree on run window", func() {
+		newStub(t, 2, func(i int, cfg *cluster.Config) {
+			cfg.MeasureDuration += sim.Duration(i) * sim.Millisecond
+		})
+	})
+	s, _ := newStub(t, 1, nil)
+	mustPanic("members", "stub: member count mismatch", func() {
+		s.Bind(sim.NewShardGroup(1), 0, nil)
+	})
+	mustPanic("unknown attempt", "stub: reply for unknown attempt 7", func() {
+		s.OnEvent(opReply, &replyMsg{attempt: 7}, nil)
+	})
+}

@@ -3,11 +3,9 @@ package graph
 import (
 	"fmt"
 
-	"hardharvest/internal/cluster"
+	"hardharvest/internal/front"
 	"hardharvest/internal/sim"
 	"hardharvest/internal/stats"
-	"hardharvest/internal/trace"
-	"hardharvest/internal/workload"
 )
 
 // genSeedSalt derives the root-tier arrival generator streams from each
@@ -16,34 +14,20 @@ import (
 // never replay another subsystem's randomness.
 const genSeedSalt = 0x9e3779b97f4a7c55
 
-// Backend describes one fleet server serving some tier of the DAG. Cfg is
-// the config the server was built from; root-tier backends additionally
-// seed the dispatcher's arrival generators from it.
-type Backend struct {
-	Server *cluster.Server
-	Cfg    cluster.Config
-	Name   string
-}
+// Backend describes one fleet server serving some tier of the DAG (see
+// front.Backend; the dispatcher ignores Weight). Root-tier backends
+// additionally seed the dispatcher's arrival generators from Cfg.
+type Backend = front.Backend
 
-// Dispatcher event opcodes (sim.Callback).
-const (
-	gOpGen   int32 = iota // a: *genState — root arrival fired
-	gOpReply              // a: *replyMsg — done/shed reply from a server
-	gOpRoot               // explicit ScheduleRoot admission (test hook)
-)
+// Action is one scheduled dispatcher reconfiguration (scenario timeline
+// compiled for graph mode); actions apply at their time, in (At, Seq)
+// order.
+type Action = front.Action[*Dispatcher]
 
-// Cross-member message payloads (one allocation each; they cross
-// goroutine boundaries between shard windows, so pooling would race).
-type dispatchMsg struct {
-	vm      int
-	attempt uint64
-}
-
-type replyMsg struct {
-	attempt uint64
-	lat     sim.Duration
-	shed    bool
-}
+// gOpRoot is the dispatcher's own event opcode (sim.Callback): an explicit
+// ScheduleRoot admission (test hook). Generation and replies are the
+// embedded core's events.
+const gOpRoot int32 = 0
 
 // request is one end-to-end DAG request from root admission to the
 // completion of its whole invocation tree.
@@ -81,48 +65,11 @@ type rpcRec struct {
 	sentAt sim.Time
 }
 
-// genState is one root-tier arrival generator, replicating the workload
-// of the root tier's VM on one root server.
-type genState struct {
-	src    int // fleet index of the root server this generator models
-	srcIdx int // index into d.srcs (flash-batch state)
-	gen    *workload.Generator
-	nextAt sim.Time
-}
-
-// srcRT carries the per-root-server flash-batch state.
-type srcRT struct {
-	batchRNG  *stats.RNG
-	batchProb float64
-	batchMean float64
-}
-
-// backendRT is the dispatcher's runtime view of one fleet server.
-type backendRT struct {
-	idx    int
-	name   string
-	srv    *cluster.Server
-	member int
-	port   *port
-}
-
-// port runs on the backend's ShardGroup member and bridges dispatch
-// messages into the server (sim.Callback, server engine).
-type port struct {
-	b *backendRT
-}
-
-func (p *port) OnEvent(op int32, a, b any) {
-	m := a.(*dispatchMsg)
-	_ = op
-	p.b.srv.AdmitRemote(m.vm, m.attempt)
-}
-
 // tierRT aggregates one tier's runtime state and counters.
 type tierRT struct {
 	name     string
 	vm       int
-	servers  []int // indices into d.backends, dispatch targets
+	servers  []int // backend indices, dispatch targets
 	rr       uint64
 	stages   []stage
 	nodeSize int // expanded subtree size rooted at this tier
@@ -143,7 +90,10 @@ type Hop struct {
 // Dispatcher executes one Spec's request DAG over a fleet. It owns its
 // own sim.Engine and joins the fleet's ShardGroup as a regular member;
 // every RPC and reply crosses a declared Link/Send edge at NetDelay
-// lookahead, so graph runs are byte-identical at any worker count.
+// lookahead, so graph runs are byte-identical at any worker count. The
+// embedded core carries the root generators, the run window, the
+// dispatch/reply plumbing and the attempt ledger; the dispatcher adds the
+// tiers, the join state machine and the hop and e2e sketches.
 //
 // All RPCs originate at the dispatcher: a tier invocation's children are
 // dispatched when its reply arrives, each paying one NetDelay hop out and
@@ -152,31 +102,17 @@ type Hop struct {
 // invocation pays exactly 2·NetDelay plus its server latency either way —
 // while keeping the join state machine on one deterministic member.
 type Dispatcher struct {
-	spec     *Spec
-	eng      *sim.Engine
-	group    *sim.ShardGroup
-	self     int
-	backends []*backendRT
-	tiers    []*tierRT
-	srcs     []*srcRT
-	gens     []*genState
+	front.Core[*Dispatcher, *rpcRec]
+	spec  *Spec
+	tiers []*tierRT
 
-	measureStart sim.Time
-	measureEnd   sim.Time
-	stopArrivals sim.Time
-	horizon      sim.Time
-
-	attemptSeq uint64
-	attempts   map[uint64]*rpcRec
-
-	generated   uint64
-	completed   uint64
-	failed      uint64
-	inflight    uint64
-	dispatches  uint64
-	doneRecv    uint64
-	shedRecv    uint64
-	outstanding uint64
+	generated  uint64
+	completed  uint64
+	failed     uint64
+	inflight   uint64
+	dispatches uint64
+	doneRecv   uint64
+	shedRecv   uint64
 
 	e2e *stats.Sketch
 
@@ -197,27 +133,10 @@ func New(spec *Spec, backends []Backend, tiers [][]int) *Dispatcher {
 	if len(tiers) != len(spec.Tiers) {
 		panic("graph: tier/server map length mismatch")
 	}
-	if len(backends) == 0 {
-		panic("graph: no backends")
-	}
-	d := &Dispatcher{
-		spec:     spec,
-		eng:      sim.NewEngine(),
-		attempts: make(map[uint64]*rpcRec),
-		e2e:      stats.NewSketch(),
-	}
-	d.measureStart, d.measureEnd, d.stopArrivals, d.horizon = backends[0].Cfg.RunWindow()
-	for si, bk := range backends {
-		_, me, _, _ := bk.Cfg.RunWindow()
-		if me != d.measureEnd {
-			panic("graph: backends disagree on run window")
-		}
-		name := bk.Name
-		if name == "" {
-			name = fmt.Sprintf("backend[%d]", si)
-		}
-		d.backends = append(d.backends, &backendRT{idx: si, name: name, srv: bk.Server})
-	}
+	d := &Dispatcher{spec: spec, e2e: stats.NewSketch()}
+	d.Init("graph", d, spec.NetDelay, backends, front.Handlers[*rpcRec]{
+		Admit: func(*front.Gen) { d.admitRoot() }, Reply: d.onReply,
+	})
 	sizes := make([]int, len(spec.Tiers))
 	spec.nodes(spec.Root, sizes)
 	for ti := range spec.Tiers {
@@ -230,7 +149,7 @@ func New(spec *Spec, backends []Backend, tiers [][]int) *Dispatcher {
 				panic(fmt.Sprintf("graph: tier %q server index %d out of range", t.Name, bi))
 			}
 			if t.VM >= backends[bi].Cfg.PrimaryVMs {
-				panic(fmt.Sprintf("graph: tier %q vm %d not a primary VM of %s", t.Name, t.VM, d.backends[bi].name))
+				panic(fmt.Sprintf("graph: tier %q vm %d not a primary VM of %s", t.Name, t.VM, d.Port(bi).Name))
 			}
 		}
 		d.tiers = append(d.tiers, &tierRT{
@@ -243,72 +162,14 @@ func New(spec *Spec, backends []Backend, tiers [][]int) *Dispatcher {
 		})
 	}
 
-	// Root arrival generators: replicate the root tier's VM workload of
-	// each root server on streams derived from a salted root, mirroring
-	// how servers would have generated local arrivals for that VM.
-	rootVM := spec.Tiers[spec.Root].VM
+	// Root arrival generators: replicate only the root tier's VM workload
+	// of each root server, mirroring how servers would have generated
+	// local arrivals for that VM.
+	rootVMs := []int{spec.Tiers[spec.Root].VM}
 	for _, bi := range tiers[spec.Root] {
-		c := backends[bi].Cfg
-		profiles := c.Profiles
-		if profiles == nil {
-			profiles = workload.Profiles()
-		}
-		seriesParams := trace.DefaultSeriesParams()
-		seriesParams.Steps = c.TraceSteps
-		root := stats.NewRNG(c.Seed ^ genSeedSalt)
-		seriesRNG := root.Split(4)
-		instRNG := root.Split(5)
-		d.srcs = append(d.srcs, &srcRT{
-			batchRNG:  root.Split(6),
-			batchProb: c.BurstBatchProb,
-			batchMean: c.BurstBatchMean,
-		})
-		p := *profiles[rootVM]
-		p.BaseRPSPerCore *= c.LoadScale
-		var series []float64
-		if c.TraceSteps > 0 {
-			inst := trace.GenerateInstances(instRNG, 1)[0]
-			series = inst.Series(seriesRNG.Split(uint64(rootVM)), seriesParams)
-		}
-		d.gens = append(d.gens, &genState{
-			src: bi, srcIdx: len(d.srcs) - 1,
-			gen: workload.NewGenerator(&p, c.CoresPerPrimary, series, c.TraceStep, root.Split(uint64(100+rootVM))),
-		})
+		d.AddSource(bi, backends[bi].Cfg, genSeedSalt, rootVMs)
 	}
 	return d
-}
-
-// Engine exposes the dispatcher's engine for ShardGroup membership.
-func (d *Dispatcher) Engine() *sim.Engine { return d.eng }
-
-// Bind wires the dispatcher into its ShardGroup after membership and
-// links are declared: self is the dispatcher's member index, members[i]
-// the member of backend i. Bind installs each server's RemoteHooks (call
-// it before the servers Start) and schedules the root generators.
-func (d *Dispatcher) Bind(g *sim.ShardGroup, self int, members []int) {
-	if len(members) != len(d.backends) {
-		panic("graph: member count mismatch")
-	}
-	d.group = g
-	d.self = self
-	for i, b := range d.backends {
-		b.member = members[i]
-		b.port = &port{b: b}
-		bb := b
-		b.srv.SetRemoteHooks(cluster.RemoteHooks{
-			Done: func(id uint64, lat sim.Duration) {
-				g.Send(bb.member, d.self, d.spec.NetDelay, d, gOpReply,
-					&replyMsg{attempt: id, lat: lat}, nil)
-			},
-			Shed: func(id uint64) {
-				g.Send(bb.member, d.self, d.spec.NetDelay, d, gOpReply,
-					&replyMsg{attempt: id, shed: true}, nil)
-			},
-		})
-	}
-	for _, gs := range d.gens {
-		d.scheduleNextGen(gs)
-	}
 }
 
 // OnComplete installs a per-request observer (test hook): fn sees every
@@ -318,123 +179,28 @@ func (d *Dispatcher) OnComplete(fn func(e2e sim.Duration, failed bool, hops []Ho
 	d.onComplete = fn
 }
 
-// Action is one scheduled dispatcher reconfiguration (scenario timeline
-// compiled for graph mode); actions apply at their time, in (At, Seq)
-// order.
-type Action struct {
-	At  sim.Time
-	Seq int
-	Fn  func(*Dispatcher)
-}
-
-// SetActions installs the compiled action schedule (sorted by (At, Seq))
-// as engine events, so the ShardGroup's conservative windows account for
-// them (see route.Router.SetActions for the argument).
-func (d *Dispatcher) SetActions(acts []Action) {
-	for _, a := range acts {
-		a := a
-		d.eng.At(a.At, func() { a.Fn(d) })
-	}
-}
-
-// Advance is the dispatcher's ShardGroup advance function.
-func (d *Dispatcher) Advance(to sim.Time) {
-	if to > d.horizon {
-		to = d.horizon
-	}
-	d.eng.Run(to)
-}
-
-func (d *Dispatcher) now() sim.Time { return d.eng.Now() }
-
-func (d *Dispatcher) measuring() bool {
-	t := d.now()
-	return t >= d.measureStart && t < d.measureEnd
-}
-
 // OnEvent dispatches the dispatcher's typed engine events (sim.Callback).
 func (d *Dispatcher) OnEvent(op int32, a, b any) {
-	switch op {
-	case gOpGen:
-		d.genFired(a.(*genState))
-	case gOpReply:
-		d.onReply(a.(*replyMsg))
-	case gOpRoot:
-		d.admitRoot()
-	default:
+	if op != gOpRoot {
 		panic(fmt.Sprintf("graph: unknown event op %d", op))
 	}
-}
-
-// SetIntensity scales every root generator modeled on root server src.
-func (d *Dispatcher) SetIntensity(src int, x float64) {
-	for _, gs := range d.gens {
-		if gs.src == src {
-			gs.gen.SetIntensity(x)
-		}
-	}
+	d.admitRoot()
 }
 
 // Spec returns the DAG the dispatcher executes.
 func (d *Dispatcher) Spec() *Spec { return d.spec }
 
-// SetIntensityAll scales every root generator (the fleet-wide load knob).
-func (d *Dispatcher) SetIntensityAll(x float64) {
-	for _, gs := range d.gens {
-		gs.gen.SetIntensity(x)
-	}
-}
-
-// Intensity reports the generator intensity for root server src (0 when
-// src hosts no root generator).
-func (d *Dispatcher) Intensity(src int) float64 {
-	for _, gs := range d.gens {
-		if gs.src == src {
-			return gs.gen.Intensity()
-		}
-	}
-	return 0
-}
-
-// ---- Root generation ----
-
-func (d *Dispatcher) scheduleNextGen(gs *genState) {
-	a := gs.gen.Next()
-	if a.At >= d.stopArrivals {
-		return
-	}
-	gs.nextAt = a.At
-	d.eng.CallAt(a.At, d, gOpGen, gs, nil)
-}
-
-// genFired admits one root request (plus any correlated flash batch,
-// mirroring the servers' local arrival model) and schedules the next.
-func (d *Dispatcher) genFired(gs *genState) {
-	d.admitRoot()
-	src := d.srcs[gs.srcIdx]
-	if src.batchProb > 0 && src.batchRNG.Float64() < src.batchProb {
-		extra := 0
-		for src.batchRNG.Float64() < 1-1/src.batchMean && extra < 16 {
-			extra++
-		}
-		for i := 0; i < extra; i++ {
-			d.admitRoot()
-		}
-	}
-	d.scheduleNextGen(gs)
-}
-
 // ScheduleRoot admits one root request at absolute time at (engine
 // event). Test hook for deterministic single-request runs; the scenario
 // path admits through the generators instead.
 func (d *Dispatcher) ScheduleRoot(at sim.Time) {
-	d.eng.CallAt(at, d, gOpRoot, nil, nil)
+	d.Engine().CallAt(at, d, gOpRoot, nil, nil)
 }
 
 func (d *Dispatcher) admitRoot() {
 	d.generated++
 	d.inflight++
-	req := &request{born: d.now(), measured: d.measuring()}
+	req := &request{born: d.Now(), measured: d.Measuring()}
 	if d.onComplete != nil {
 		req.hops = make([]Hop, 0, 8)
 	}
@@ -448,35 +214,24 @@ func (d *Dispatcher) admitRoot() {
 // tier (per-tier round robin).
 func (d *Dispatcher) dispatchRPC(n *node) {
 	t := d.tiers[n.tier]
-	b := d.backends[t.servers[int(t.rr)%len(t.servers)]]
+	p := d.Port(t.servers[int(t.rr)%len(t.servers)])
 	t.rr++
-	d.attemptSeq++
-	id := d.attemptSeq
-	d.attempts[id] = &rpcRec{n: n, sentAt: d.now()}
 	t.dispatches++
 	d.dispatches++
-	d.outstanding++
-	d.group.Send(d.self, b.member, d.spec.NetDelay, b.port, 0,
-		&dispatchMsg{vm: t.vm, attempt: id}, nil)
+	d.Dispatch(p, t.vm, &rpcRec{n: n, sentAt: d.Now()})
 }
 
 // onReply resolves one invocation RPC: record the hop, then either walk
 // the node's call stages (done) or short-circuit the subtree (shed — the
 // request is marked failed, the node completes without issuing calls, and
 // the join bookkeeping drains normally).
-func (d *Dispatcher) onReply(m *replyMsg) {
-	rec := d.attempts[m.attempt]
-	if rec == nil {
-		panic(fmt.Sprintf("graph: reply for unknown attempt %d", m.attempt))
-	}
-	delete(d.attempts, m.attempt)
-	d.outstanding--
+func (d *Dispatcher) onReply(_ uint64, rec *rpcRec, shed bool) {
 	n := rec.n
 	t := d.tiers[n.tier]
 	if n.req.hops != nil {
-		n.req.hops = append(n.req.hops, Hop{Tier: t.name, Latency: d.now().Sub(rec.sentAt), Shed: m.shed})
+		n.req.hops = append(n.req.hops, Hop{Tier: t.name, Latency: d.Now().Sub(rec.sentAt), Shed: shed})
 	}
-	if m.shed {
+	if shed {
 		d.shedRecv++
 		t.sheds++
 		n.req.failed = true
@@ -486,7 +241,7 @@ func (d *Dispatcher) onReply(m *replyMsg) {
 	d.doneRecv++
 	t.dones++
 	if n.req.measured {
-		t.hop.Add(d.now().Sub(rec.sentAt).Milliseconds())
+		t.hop.Add(d.Now().Sub(rec.sentAt).Milliseconds())
 	}
 	n.stage = -1
 	d.nextStage(n)
@@ -523,7 +278,7 @@ func (d *Dispatcher) completeNode(n *node) {
 	if p == nil {
 		d.inflight--
 		req := n.req
-		e2e := d.now().Sub(req.born)
+		e2e := d.Now().Sub(req.born)
 		if req.failed {
 			d.failed++
 		} else {

@@ -55,7 +55,7 @@ func (d *Dispatcher) Snapshot() *Result {
 		Dispatches:     d.dispatches,
 		DoneRecv:       d.doneRecv,
 		ShedRecv:       d.shedRecv,
-		OutstandingEnd: uint64(len(d.attempts)),
+		OutstandingEnd: d.Outstanding(),
 		E2E:            d.e2e,
 	}
 	for _, t := range d.tiers {

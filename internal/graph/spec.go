@@ -13,7 +13,9 @@
 // runtime: it owns its own sim.Engine, joins the fleet's sim.ShardGroup,
 // admits root requests from open-loop generators, and drives one join
 // state machine per request, dispatching child RPCs through
-// cluster.AdmitRemote and joining on the replies.
+// cluster.AdmitRemote and joining on the replies. The generators, the
+// dispatch/reply plumbing and the attempt ledger are the front-door core
+// it shares with route.Router (internal/front).
 //
 // Call semantics (mirrored exactly by ToApp's Monte-Carlo expansion):
 // after a tier invocation's own service completes, its calls run in
@@ -28,6 +30,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 
 	"hardharvest/internal/app"
 	"hardharvest/internal/sim"
@@ -267,6 +270,18 @@ func (s *Spec) nodes(i int, sizes []int) int {
 // spec must be valid).
 func (s *Spec) Nodes() int {
 	return s.nodes(s.Root, make([]int, len(s.Tiers)))
+}
+
+// Groups returns the fleet groups the tiers bind to, in first-appearance
+// order; tiers in the same group share its servers.
+func (s *Spec) Groups() []string {
+	var groups []string
+	for i := range s.Tiers {
+		if !slices.Contains(groups, s.Tiers[i].Group) {
+			groups = append(groups, s.Tiers[i].Group)
+		}
+	}
+	return groups
 }
 
 // TierByName resolves a tier index by name (-1 when absent).

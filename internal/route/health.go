@@ -1,7 +1,7 @@
 package route
 
 import (
-	"hardharvest/internal/cluster"
+	"hardharvest/internal/front"
 	"hardharvest/internal/stats"
 )
 
@@ -21,11 +21,8 @@ import (
 
 // backendRT is the router's per-server runtime state.
 type backendRT struct {
-	idx    int
-	name   string
-	srv    *cluster.Server
-	member int
-	port   *port
+	*front.Port
+	prober *prober
 	weight float64
 	wrrCur float64
 
@@ -86,33 +83,18 @@ func (b *backendRT) state() string {
 	}
 }
 
-// Port event opcodes: the port is the router's agent on each server's
-// member, receiving router->server messages on the server's engine.
-const (
-	pOpDispatch int32 = iota // a: *dispatchMsg — admit one attempt
-	pOpProbe                 // a: *probeMsg — health check, reply with ok
-)
-
-// port runs on the backend's ShardGroup member and bridges router messages
-// into the server (and probe answers back out).
-type port struct {
+// prober is the router's health-check agent on one backend's member: it
+// answers each probe with whether the server is inside a crash window.
+type prober struct {
 	rt *Router
 	b  *backendRT
 }
 
-// OnEvent handles router->server messages (sim.Callback, server engine).
-func (p *port) OnEvent(op int32, a, b any) {
-	switch op {
-	case pOpDispatch:
-		m := a.(*dispatchMsg)
-		p.b.srv.AdmitRemote(m.vm, m.attempt)
-	case pOpProbe:
-		m := a.(*probeMsg)
-		p.rt.group.Send(p.b.member, p.rt.self, p.rt.cfg.NetDelay, p.rt, rOpProbeReply,
-			&probeReply{backend: m.backend, ok: !p.b.srv.Crashed()}, nil)
-	default:
-		panic("route: unknown port op")
-	}
+// OnEvent answers one health probe (sim.Callback, server engine).
+func (p *prober) OnEvent(_ int32, a, _ any) {
+	m := a.(*probeMsg)
+	p.rt.FromBackend(p.b.Port, p.rt, rOpProbeReply,
+		&probeReply{backend: m.backend, ok: !p.b.Server.Crashed()})
 }
 
 // probeTick sends one health probe to every backend, in index order, and
@@ -121,11 +103,10 @@ func (rt *Router) probeTick() {
 	for _, b := range rt.backends {
 		b.probes++
 		rt.probes++
-		rt.group.Send(rt.self, b.member, rt.cfg.NetDelay, b.port, pOpProbe,
-			&probeMsg{backend: b.idx}, nil)
+		rt.ToBackend(b.Port, b.prober, 0, &probeMsg{backend: b.Idx})
 	}
-	if rt.now().Add(rt.cfg.ProbeInterval) <= rt.horizon {
-		rt.eng.ScheduleCall(rt.cfg.ProbeInterval, rt, rOpProbeTick, nil, nil)
+	if rt.Now().Add(rt.cfg.ProbeInterval) <= rt.Horizon() {
+		rt.Engine().ScheduleCall(rt.cfg.ProbeInterval, rt, rOpProbeTick, nil, nil)
 	}
 }
 
@@ -190,7 +171,7 @@ func (rt *Router) eject(b *backendRT) {
 	if shift > 10 {
 		shift = 10
 	}
-	rt.eng.ScheduleCall(rt.cfg.EjectBackoff<<shift, rt, rOpReadmit, b, nil)
+	rt.Engine().ScheduleCall(rt.cfg.EjectBackoff<<shift, rt, rOpReadmit, b, nil)
 }
 
 // readmit re-admits an ejected backend half-open: its failure streak sits

@@ -92,7 +92,7 @@ func (rt *Router) Snapshot() *Result {
 		ShedRecv:          rt.shedRecv,
 		ZombieDones:       rt.zombieDones,
 		ZombieSheds:       rt.zombieSheds,
-		OutstandingEnd:    uint64(len(rt.attempts)),
+		OutstandingEnd:    rt.Outstanding(),
 		Probes:            rt.probes,
 		ProbeFails:        rt.probeFails,
 		Ejections:         rt.ejections,
@@ -102,7 +102,7 @@ func (rt *Router) Snapshot() *Result {
 	}
 	for _, b := range rt.backends {
 		res.Backends = append(res.Backends, BackendResult{
-			Name:            b.name,
+			Name:            b.Name,
 			State:           b.state(),
 			Dispatches:      b.dispatches,
 			Dones:           b.dones,

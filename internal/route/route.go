@@ -28,11 +28,9 @@ package route
 import (
 	"fmt"
 
-	"hardharvest/internal/cluster"
+	"hardharvest/internal/front"
 	"hardharvest/internal/sim"
 	"hardharvest/internal/stats"
-	"hardharvest/internal/trace"
-	"hardharvest/internal/workload"
 )
 
 // genSeedSalt derives the front-door generator streams from each source
@@ -105,43 +103,23 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Backend describes one fleet server the router feeds. Cfg is the config
-// the server was built from: the front door replicates its workload shape
-// (profiles, load scale, trace modulation) on independent streams, and
-// aligns its own timeline with the server's run window.
-type Backend struct {
-	Server *cluster.Server
-	Cfg    cluster.Config
-	Name   string
-	// Weight biases the Weighted policy (use 1/exec-factor so newer
-	// hardware generations draw proportionally more traffic); <= 0 means 1.
-	Weight float64
-}
+// Backend describes one fleet server the router feeds (see front.Backend).
+type Backend = front.Backend
 
-// Router event opcodes (sim.Callback).
+// Action is one scheduled router reconfiguration (scenario timeline/events
+// compiled for routed mode); actions apply at their time, in (At, Seq)
+// order.
+type Action = front.Action[*Router]
+
+// Router event opcodes (sim.Callback). Generation and replies are the
+// embedded core's events.
 const (
-	rOpGen           int32 = iota // a: *genState — front-door arrival fired
-	rOpProbeTick                  // periodic health-check round
+	rOpProbeTick     int32 = iota // periodic health-check round
 	rOpReadmit                    // a: *backendRT — ejection backoff elapsed
 	rOpDrainDeadline              // a: *backendRT — drain deadline reached
-	rOpReply                      // a: *replyMsg — done/shed reply from a server
 	rOpProbeReply                 // a: *probeReply — health probe answer
 	rOpCrash                      // a: *crashMsg — crash/recovery notification
 )
-
-// Cross-member message payloads. One small object is allocated per message:
-// payloads cross goroutine boundaries between windows, so pooling them on
-// either side would race.
-type dispatchMsg struct {
-	vm      int
-	attempt uint64
-}
-
-type replyMsg struct {
-	attempt uint64
-	lat     sim.Duration
-	shed    bool
-}
 
 type probeMsg struct{ backend int }
 
@@ -177,46 +155,18 @@ type attemptRec struct {
 	sentAt  sim.Time
 }
 
-// genState is one front-door arrival generator, replicating the workload
-// of one (source server, VM) pair.
-type genState struct {
-	src int
-	vm  int
-	gen *workload.Generator
-	// nextAt carries the generated arrival time between scheduling and the
-	// rOpGen event; the sampled invocation is discarded — phases are
-	// sampled server-side on admission.
-	nextAt sim.Time
-}
-
-// srcRT carries the per-source-server flash-batch state.
-type srcRT struct {
-	batchRNG  *stats.RNG
-	batchProb float64
-	batchMean float64
-}
-
 // Router is the fleet front door. It owns its own sim.Engine and joins the
 // scenario's ShardGroup as a regular member; all interaction with servers
-// flows over declared Link/Send edges.
+// flows over declared Link/Send edges. The embedded core carries the
+// generators, the run window, the dispatch/reply plumbing and the attempt
+// ledger; the router adds policies, health, ejection, failover and drain.
 type Router struct {
+	front.Core[*Router, *attemptRec]
 	cfg      Config
-	eng      *sim.Engine
-	group    *sim.ShardGroup
-	self     int
 	backends []*backendRT
-	srcs     []*srcRT
-	gens     []*genState
 
-	measureStart sim.Time
-	measureEnd   sim.Time
-	stopArrivals sim.Time
-	horizon      sim.Time
-
-	attemptSeq uint64
-	attempts   map[uint64]*attemptRec
-	rr         uint64
-	eligible   []int
+	rr       uint64
+	eligible []int
 
 	// Fleet counters (see Result for meanings).
 	generated         uint64
@@ -247,159 +197,56 @@ func New(cfg Config, specs []Backend) *Router {
 	if err := cfg.Validate(); err != nil {
 		panic("route: " + err.Error())
 	}
-	if len(specs) == 0 {
-		panic("route: no backends")
+	rt := &Router{cfg: cfg, fleetLat: stats.NewSketch()}
+	rt.Init("route", rt, cfg.NetDelay, specs, front.Handlers[*attemptRec]{
+		Admit: rt.admit, Reply: rt.onReply, Crash: rt.sendCrash,
+	})
+	vms := make([]int, specs[0].Cfg.PrimaryVMs)
+	for i := range vms {
+		vms[i] = i
 	}
-	rt := &Router{
-		cfg:      cfg,
-		eng:      sim.NewEngine(),
-		attempts: make(map[uint64]*attemptRec),
-		fleetLat: stats.NewSketch(),
-	}
-	rt.measureStart, rt.measureEnd, rt.stopArrivals, rt.horizon = specs[0].Cfg.RunWindow()
 	for si, spec := range specs {
-		c := spec.Cfg
-		_, me, _, _ := c.RunWindow()
-		if me != rt.measureEnd || c.PrimaryVMs != specs[0].Cfg.PrimaryVMs {
-			panic("route: backends disagree on run window or primary-VM count")
+		if spec.Cfg.PrimaryVMs != len(vms) {
+			panic("route: backends disagree on primary-VM count")
 		}
 		w := spec.Weight
 		if w <= 0 {
 			w = 1
 		}
-		name := spec.Name
-		if name == "" {
-			name = fmt.Sprintf("backend[%d]", si)
-		}
 		rt.backends = append(rt.backends, &backendRT{
-			idx: si, name: name, srv: spec.Server, weight: w,
-			healthy: true, edgeLat: stats.NewSketch(),
+			Port: rt.Port(si), weight: w, healthy: true, edgeLat: stats.NewSketch(),
 		})
-
-		// Replicate the server's per-VM workload model on streams derived
-		// from a salted root: the server's own streams stay untouched.
-		profiles := c.Profiles
-		if profiles == nil {
-			profiles = workload.Profiles()
-		}
-		seriesParams := trace.DefaultSeriesParams()
-		seriesParams.Steps = c.TraceSteps
-		root := stats.NewRNG(c.Seed ^ genSeedSalt)
-		seriesRNG := root.Split(4)
-		instRNG := root.Split(5)
-		rt.srcs = append(rt.srcs, &srcRT{
-			batchRNG:  root.Split(6),
-			batchProb: c.BurstBatchProb,
-			batchMean: c.BurstBatchMean,
-		})
-		for i := 0; i < c.PrimaryVMs; i++ {
-			p := *profiles[i]
-			p.BaseRPSPerCore *= c.LoadScale
-			var series []float64
-			if c.TraceSteps > 0 {
-				inst := trace.GenerateInstances(instRNG, 1)[0]
-				series = inst.Series(seriesRNG.Split(uint64(i)), seriesParams)
-			}
-			rt.gens = append(rt.gens, &genState{
-				src: si, vm: i,
-				gen: workload.NewGenerator(&p, c.CoresPerPrimary, series, c.TraceStep, root.Split(uint64(100+i))),
-			})
-		}
+		rt.AddSource(si, spec.Cfg, genSeedSalt, vms)
 	}
 	return rt
 }
 
-// Engine exposes the router's engine for ShardGroup membership.
-func (rt *Router) Engine() *sim.Engine { return rt.eng }
-
 // Bind wires the router into its ShardGroup after membership and links are
-// declared: self is the router's member index, members[i] the index of
-// backend i. Bind installs each server's RemoteHooks (so call it before the
-// servers Start) and schedules the router's initial events.
+// declared (see front.Core.Bind), then schedules the first health-check
+// round after the generators.
 func (rt *Router) Bind(g *sim.ShardGroup, self int, members []int) {
-	if len(members) != len(rt.backends) {
-		panic("route: member count mismatch")
+	rt.Core.Bind(g, self, members)
+	for _, b := range rt.backends {
+		b.prober = &prober{rt: rt, b: b}
 	}
-	rt.group = g
-	rt.self = self
-	for i, b := range rt.backends {
-		b.member = members[i]
-		b.port = &port{rt: rt, b: b}
-		idx := i
-		b.srv.SetRemoteHooks(cluster.RemoteHooks{
-			Done: func(id uint64, lat sim.Duration) {
-				rt.sendReply(rt.backends[idx], &replyMsg{attempt: id, lat: lat})
-			},
-			Shed: func(id uint64) {
-				rt.sendReply(rt.backends[idx], &replyMsg{attempt: id, shed: true})
-			},
-			Crash: func(down bool) {
-				b := rt.backends[idx]
-				g.Send(b.member, rt.self, rt.cfg.NetDelay, rt, rOpCrash,
-					&crashMsg{backend: idx, down: down}, nil)
-			},
-		})
-	}
-	for _, gs := range rt.gens {
-		rt.scheduleNextGen(gs)
-	}
-	rt.eng.ScheduleCall(rt.cfg.ProbeInterval, rt, rOpProbeTick, nil, nil)
+	rt.Engine().ScheduleCall(rt.cfg.ProbeInterval, rt, rOpProbeTick, nil, nil)
 }
 
-func (rt *Router) sendReply(b *backendRT, m *replyMsg) {
-	rt.group.Send(b.member, rt.self, rt.cfg.NetDelay, rt, rOpReply, m, nil)
-}
-
-// Action is one scheduled router reconfiguration (scenario timeline/events
-// compiled for routed mode); actions apply at their time, in (At, Seq)
-// order.
-type Action struct {
-	At  sim.Time
-	Seq int
-	Fn  func(*Router)
-}
-
-// SetActions installs the compiled action schedule (must be sorted by
-// (At, Seq)) as engine events. Call before the group runs: the group's
-// conservative windows derive member floors from pending engine events, so
-// an action applied outside the event queue would be invisible to the
-// window computation and could let other members advance past it.
-func (rt *Router) SetActions(acts []Action) {
-	for _, a := range acts {
-		a := a
-		rt.eng.At(a.At, func() { a.Fn(rt) })
-	}
-}
-
-// Advance is the router's ShardGroup advance function: run the engine up to
-// the window cap (actions are regular engine events, see SetActions).
-func (rt *Router) Advance(to sim.Time) {
-	if to > rt.horizon {
-		to = rt.horizon
-	}
-	rt.eng.Run(to)
-}
-
-func (rt *Router) now() sim.Time { return rt.eng.Now() }
-
-func (rt *Router) measuring() bool {
-	t := rt.now()
-	return t >= rt.measureStart && t < rt.measureEnd
+// sendCrash forwards a server's crash/recovery edge to the router (runs on
+// the server's member).
+func (rt *Router) sendCrash(p *front.Port, down bool) {
+	rt.FromBackend(p, rt, rOpCrash, &crashMsg{backend: p.Idx, down: down})
 }
 
 // OnEvent dispatches the router's typed engine events (sim.Callback).
 func (rt *Router) OnEvent(op int32, a, b any) {
 	switch op {
-	case rOpGen:
-		rt.genFired(a.(*genState))
 	case rOpProbeTick:
 		rt.probeTick()
 	case rOpReadmit:
 		rt.readmit(a.(*backendRT))
 	case rOpDrainDeadline:
 		rt.drainDeadline(a.(*backendRT))
-	case rOpReply:
-		rt.onReply(a.(*replyMsg))
 	case rOpProbeReply:
 		rt.onProbeReply(a.(*probeReply))
 	case rOpCrash:
@@ -411,37 +258,11 @@ func (rt *Router) OnEvent(op int32, a, b any) {
 
 // ---- Generation and dispatch ----
 
-func (rt *Router) scheduleNextGen(gs *genState) {
-	a := gs.gen.Next()
-	if a.At >= rt.stopArrivals {
-		return
-	}
-	gs.nextAt = a.At
-	rt.eng.CallAt(a.At, rt, rOpGen, gs, nil)
-}
-
-// genFired admits one generated request (plus any correlated flash batch,
-// mirroring the servers' local arrival model) and schedules the next.
-func (rt *Router) genFired(gs *genState) {
-	rt.admit(gs)
-	src := rt.srcs[gs.src]
-	if src.batchProb > 0 && src.batchRNG.Float64() < src.batchProb {
-		extra := 0
-		for src.batchRNG.Float64() < 1-1/src.batchMean && extra < 16 {
-			extra++
-		}
-		for i := 0; i < extra; i++ {
-			rt.admit(gs)
-		}
-	}
-	rt.scheduleNextGen(gs)
-}
-
 // admit creates the logical request and dispatches its first attempt; with
 // no eligible backend the request is lost at the door.
-func (rt *Router) admit(gs *genState) {
+func (rt *Router) admit(g *front.Gen) {
 	rt.generated++
-	req := &pendingReq{vm: gs.vm, born: rt.now(), measured: rt.measuring()}
+	req := &pendingReq{vm: g.VM, born: rt.Now(), measured: rt.Measuring()}
 	if rt.dispatch(req) {
 		rt.initialDispatches++
 	} else {
@@ -457,37 +278,28 @@ func (rt *Router) dispatch(req *pendingReq) bool {
 	if b == nil {
 		return false
 	}
-	rt.attemptSeq++
-	id := rt.attemptSeq
-	rt.attempts[id] = &attemptRec{req: req, backend: b.idx, sentAt: rt.now()}
+	id := rt.Dispatch(b.Port, req.vm, &attemptRec{req: req, backend: b.Idx, sentAt: rt.Now()})
 	req.cur = id
 	req.nAttempts++
 	req.outstanding++
 	b.active = append(b.active, id)
 	b.dispatches++
 	rt.dispatches++
-	rt.group.Send(rt.self, b.member, rt.cfg.NetDelay, b.port, pOpDispatch,
-		&dispatchMsg{vm: req.vm, attempt: id}, nil)
 	return true
 }
 
 // onReply resolves one attempt's fate. A reply for a superseded or already
 // resolved request is a zombie: the stranded attempt kept running on its
 // server and its outcome is counted but never re-resolves the request.
-func (rt *Router) onReply(m *replyMsg) {
-	rec := rt.attempts[m.attempt]
-	if rec == nil {
-		panic(fmt.Sprintf("route: reply for unknown attempt %d", m.attempt))
-	}
-	delete(rt.attempts, m.attempt)
+func (rt *Router) onReply(id uint64, rec *attemptRec, shed bool) {
 	req := rec.req
 	req.outstanding--
 	b := rt.backends[rec.backend]
-	live := !req.resolved && req.cur == m.attempt
-	if m.shed {
+	live := !req.resolved && req.cur == id
+	if shed {
 		rt.shedRecv++
 		if live {
-			rt.removeActive(b, m.attempt)
+			rt.removeActive(b, id)
 			req.resolved = true
 			rt.sheds++
 			b.sheds++
@@ -501,13 +313,13 @@ func (rt *Router) onReply(m *replyMsg) {
 	rt.doneRecv++
 	b.consecFail = 0
 	if live {
-		rt.removeActive(b, m.attempt)
+		rt.removeActive(b, id)
 		req.resolved = true
 		rt.completions++
 		b.dones++
 		if req.measured {
-			rt.fleetLat.Add(rt.now().Sub(req.born).Milliseconds())
-			b.edgeLat.Add(rt.now().Sub(rec.sentAt).Milliseconds())
+			rt.fleetLat.Add(rt.Now().Sub(req.born).Milliseconds())
+			b.edgeLat.Add(rt.Now().Sub(rec.sentAt).Milliseconds())
 		}
 	} else {
 		rt.zombieDones++
@@ -522,7 +334,7 @@ func (rt *Router) removeActive(b *backendRT, id uint64) {
 			return
 		}
 	}
-	panic(fmt.Sprintf("route: attempt %d not active on %s", id, b.name))
+	panic(fmt.Sprintf("route: attempt %d not active on %s", id, b.Name))
 }
 
 // failoverActive re-dispatches every attempt stranded on b (crash,
@@ -537,7 +349,7 @@ func (rt *Router) failoverActive(b *backendRT) {
 	stranded := append([]uint64(nil), b.active...)
 	b.active = b.active[:0]
 	for _, id := range stranded {
-		req := rt.attempts[id].req
+		req := rt.Attempt(id).req
 		if req.nAttempts <= rt.cfg.MaxFailovers && rt.dispatch(req) {
 			rt.failovers++
 			b.failoversOut++
@@ -551,34 +363,6 @@ func (rt *Router) failoverActive(b *backendRT) {
 
 // ---- Scenario-facing reconfiguration ----
 
-// SetIntensity scales every generator fed by source server src (x > 0).
-func (rt *Router) SetIntensity(src int, x float64) {
-	for _, gs := range rt.gens {
-		if gs.src == src {
-			gs.gen.SetIntensity(x)
-		}
-	}
-}
-
-// SetVMIntensity scales one (source server, VM) generator.
-func (rt *Router) SetVMIntensity(src, vm int, x float64) {
-	for _, gs := range rt.gens {
-		if gs.src == src && gs.vm == vm {
-			gs.gen.SetIntensity(x)
-		}
-	}
-}
-
-// Intensity reports one (source server, VM) generator's current intensity.
-func (rt *Router) Intensity(src, vm int) float64 {
-	for _, gs := range rt.gens {
-		if gs.src == src && gs.vm == vm {
-			return gs.gen.Intensity()
-		}
-	}
-	return 0
-}
-
 // StartDrain begins a graceful drain of backend idx: new dispatch stops
 // now, in-flight attempts may finish until the deadline, and whatever
 // remains then fails over. Idempotent while a drain is in progress.
@@ -590,7 +374,7 @@ func (rt *Router) StartDrain(idx int, deadline sim.Duration) {
 	b.draining = true
 	b.drains++
 	rt.drains++
-	rt.eng.ScheduleCall(deadline, rt, rOpDrainDeadline, b, nil)
+	rt.Engine().ScheduleCall(deadline, rt, rOpDrainDeadline, b, nil)
 }
 
 func (rt *Router) drainDeadline(b *backendRT) {

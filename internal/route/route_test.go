@@ -8,6 +8,7 @@ import (
 	"hardharvest/internal/batch"
 	"hardharvest/internal/cluster"
 	"hardharvest/internal/faults"
+	"hardharvest/internal/front"
 	"hardharvest/internal/sim"
 	"hardharvest/internal/validate"
 )
@@ -58,21 +59,8 @@ func runFleet(tb testing.TB, spec fleetSpec) (*Result, []*cluster.ServerResult) 
 	}
 	rt := New(spec.rc, specs)
 	g := sim.NewShardGroup(spec.workers)
-	self := g.AddFunc(rt.Engine(), rt.Advance)
-	var members []int
-	for _, srv := range servers {
-		s := srv
-		m := g.AddFunc(srv.Engine(), func(to sim.Time) { s.StepTo(to) })
-		g.Link(self, m, spec.rc.NetDelay)
-		g.Link(m, self, spec.rc.NetDelay)
-		members = append(members, m)
-	}
-	rt.Bind(g, self, members)
+	horizon := front.Wire(g, rt, servers)
 	rt.SetActions(spec.actions)
-	for _, srv := range servers {
-		srv.Start()
-	}
-	_, _, _, horizon := specs[0].Cfg.RunWindow()
 	g.Run(horizon)
 	var srvRes []*cluster.ServerResult
 	for _, srv := range servers {

@@ -256,7 +256,7 @@ workload:
     factor: 3
     duration_ms: 30
 `)
-	specs, _, _, err := sc.compile()
+	specs, _, err := sc.compile()
 	if err != nil {
 		t.Fatal(err)
 	}

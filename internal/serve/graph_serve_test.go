@@ -143,10 +143,10 @@ func TestGraphConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.applyGraph(Action{Kind: ActDrain, Server: 1, DeadlineMS: 2}, 0); err == nil {
+	if err := r.applyAction(Action{Kind: ActDrain, Server: 1, DeadlineMS: 2}, 0); err == nil {
 		t.Fatal("graph run accepted a drain (a router concept)")
 	}
-	if err := r.applyGraph(Action{Kind: ActFaults, Server: 9, Plan: &faults.Plan{}}, 0); err == nil {
+	if err := r.applyAction(Action{Kind: ActFaults, Server: 9, Plan: &faults.Plan{}}, 0); err == nil {
 		t.Fatal("graph run accepted an out-of-range server target")
 	}
 }

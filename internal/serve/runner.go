@@ -25,6 +25,7 @@ import (
 	"hardharvest/internal/batch"
 	"hardharvest/internal/cluster"
 	"hardharvest/internal/faults"
+	"hardharvest/internal/front"
 	"hardharvest/internal/graph"
 	"hardharvest/internal/obs"
 	"hardharvest/internal/route"
@@ -92,73 +93,6 @@ func (rc RunConfig) build() (*cluster.Server, *obs.Meter, error) {
 	return cluster.NewServer(ccfg, opts, work), meter, nil
 }
 
-// buildRouted constructs the routed fleet: Backends servers in remote-
-// admission mode behind a router member of one ShardGroup, wired exactly
-// like the scenario runner wires a routed fleet (links both ways at the
-// network delay, hooks installed before any server starts). Per-backend
-// seeds follow the RunCluster derivation.
-func (rc RunConfig) buildRouted() (*sim.ShardGroup, *route.Router, []*cluster.Server, []*obs.Meter, error) {
-	kind, err := ParseSystem(rc.System)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	work, err := batch.WorkloadByName(rc.Workload)
-	if err != nil {
-		return nil, nil, nil, nil, fmt.Errorf("serve: %w", err)
-	}
-	if rc.Backends <= 0 {
-		return nil, nil, nil, nil, fmt.Errorf("serve: routed mode needs backends >= 1, got %d", rc.Backends)
-	}
-	rcfg := route.DefaultConfig()
-	if rc.Policy != "" {
-		pol, err := route.ParsePolicy(rc.Policy)
-		if err != nil {
-			return nil, nil, nil, nil, fmt.Errorf("serve: %w", err)
-		}
-		rcfg.Policy = pol
-	}
-	fleet := make([]*cluster.Server, rc.Backends)
-	meters := make([]*obs.Meter, rc.Backends)
-	backends := make([]route.Backend, rc.Backends)
-	for i := range fleet {
-		ccfg := cluster.DefaultConfig()
-		ccfg.WarmupDuration = sim.Duration(rc.WarmupMS) * sim.Millisecond
-		ccfg.MeasureDuration = sim.Duration(rc.SimMS) * sim.Millisecond
-		ccfg.Seed = rc.Seed + uint64(i)*7919
-		opts := cluster.SystemOptions(kind)
-		meters[i] = obs.NewMeter()
-		opts.Observer = meters[i]
-		opts.RemoteAdmission = true
-		fleet[i] = cluster.NewServer(ccfg, opts, work)
-		backends[i] = route.Backend{
-			Server: fleet[i], Cfg: ccfg,
-			Name:   fmt.Sprintf("server%d", i),
-			Weight: 1,
-		}
-	}
-	rt := route.New(rcfg, backends)
-	group := sim.NewShardGroup(0)
-	self := group.AddFunc(rt.Engine(), rt.Advance)
-	members := make([]int, len(fleet))
-	for i, srv := range fleet {
-		srv := srv
-		m := group.AddFunc(srv.Engine(), func(to sim.Time) {
-			if h := srv.Horizon(); to > h {
-				to = h
-			}
-			srv.StepTo(to)
-		})
-		group.Link(self, m, rcfg.NetDelay)
-		group.Link(m, self, rcfg.NetDelay)
-		members[i] = m
-	}
-	rt.Bind(group, self, members)
-	for _, srv := range fleet {
-		srv.Start()
-	}
-	return group, rt, fleet, meters, nil
-}
-
 // ParseGraph resolves a built-in DAG name to its spec.
 func ParseGraph(name string, netDelay sim.Duration) (*graph.Spec, error) {
 	switch name {
@@ -169,86 +103,84 @@ func ParseGraph(name string, netDelay sim.Duration) (*graph.Spec, error) {
 	}
 }
 
-// buildGraph constructs the DAG fleet: every tier group in the spec gets
-// cfg.Backends identical remote-admission servers, all behind one graph
-// dispatcher wired over ShardGroup edges exactly like the scenario runner
-// wires graph mode (links both ways at the RPC network delay, hooks bound
-// before any server starts).
-func (rc RunConfig) buildGraph() (*sim.ShardGroup, *graph.Dispatcher, []*cluster.Server, []*obs.Meter, error) {
+// buildFleet constructs the fleet-mode simulation: remote-admission
+// servers behind a front door — a router over Backends servers, or a graph
+// dispatcher over Backends servers per tier group (tiers in the same group
+// share its servers) — assembled into one ShardGroup by front.Wire, the
+// scenario runner's wiring path. Per-server seeds follow the RunCluster
+// derivation.
+func (r *Runner) buildFleet() error {
+	rc := r.cfg
 	kind, err := ParseSystem(rc.System)
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return err
 	}
 	work, err := batch.WorkloadByName(rc.Workload)
 	if err != nil {
-		return nil, nil, nil, nil, fmt.Errorf("serve: %w", err)
+		return fmt.Errorf("serve: %w", err)
 	}
-	if rc.Backends <= 0 {
-		return nil, nil, nil, nil, fmt.Errorf("serve: graph mode needs backends >= 1 per tier group, got %d", rc.Backends)
-	}
-	spec, err := ParseGraph(rc.Graph, 20*sim.Microsecond)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	// Tier groups in first-appearance order; tiers in the same group share
-	// the same server set (the scenario runner's binding rule).
-	var groups []string
-	groupIdx := map[string]int{}
-	for i := range spec.Tiers {
-		if _, ok := groupIdx[spec.Tiers[i].Group]; !ok {
-			groupIdx[spec.Tiers[i].Group] = len(groups)
-			groups = append(groups, spec.Tiers[i].Group)
+	var names []string
+	var spec *graph.Spec
+	var tiers [][]int
+	rcfg := route.DefaultConfig()
+	if rc.Routed {
+		if rc.Backends <= 0 {
+			return fmt.Errorf("serve: routed mode needs backends >= 1, got %d", rc.Backends)
+		}
+		if rc.Policy != "" {
+			if rcfg.Policy, err = route.ParsePolicy(rc.Policy); err != nil {
+				return fmt.Errorf("serve: %w", err)
+			}
+		}
+		for i := 0; i < rc.Backends; i++ {
+			names = append(names, fmt.Sprintf("server%d", i))
+		}
+	} else {
+		if rc.Backends <= 0 {
+			return fmt.Errorf("serve: graph mode needs backends >= 1 per tier group, got %d", rc.Backends)
+		}
+		if spec, err = ParseGraph(rc.Graph, 20*sim.Microsecond); err != nil {
+			return err
+		}
+		byGroup := map[string][]int{}
+		for _, g := range spec.Groups() {
+			for k := 0; k < rc.Backends; k++ {
+				byGroup[g] = append(byGroup[g], len(names))
+				names = append(names, fmt.Sprintf("server%d[%s]", len(names), g))
+			}
+		}
+		tiers = make([][]int, len(spec.Tiers))
+		for ti := range spec.Tiers {
+			tiers[ti] = byGroup[spec.Tiers[ti].Group]
 		}
 	}
-	n := len(groups) * rc.Backends
-	fleet := make([]*cluster.Server, n)
-	meters := make([]*obs.Meter, n)
-	backends := make([]graph.Backend, n)
-	byGroup := make([][]int, len(groups))
-	for gi, gname := range groups {
-		for k := 0; k < rc.Backends; k++ {
-			i := gi*rc.Backends + k
-			ccfg := cluster.DefaultConfig()
-			ccfg.WarmupDuration = sim.Duration(rc.WarmupMS) * sim.Millisecond
-			ccfg.MeasureDuration = sim.Duration(rc.SimMS) * sim.Millisecond
-			ccfg.Seed = rc.Seed + uint64(i)*7919
-			opts := cluster.SystemOptions(kind)
-			meters[i] = obs.NewMeter()
-			opts.Observer = meters[i]
-			opts.RemoteAdmission = true
-			fleet[i] = cluster.NewServer(ccfg, opts, work)
-			backends[i] = graph.Backend{
-				Server: fleet[i], Cfg: ccfg,
-				Name: fmt.Sprintf("server%d[%s]", i, gname),
-			}
-			byGroup[gi] = append(byGroup[gi], i)
-		}
+	backends := make([]front.Backend, len(names))
+	for i, name := range names {
+		ccfg := cluster.DefaultConfig()
+		ccfg.WarmupDuration = sim.Duration(rc.WarmupMS) * sim.Millisecond
+		ccfg.MeasureDuration = sim.Duration(rc.SimMS) * sim.Millisecond
+		ccfg.Seed = rc.Seed + uint64(i)*7919
+		opts := cluster.SystemOptions(kind)
+		meter := obs.NewMeter()
+		opts.Observer = meter
+		opts.RemoteAdmission = true
+		srv := cluster.NewServer(ccfg, opts, work)
+		r.fleet = append(r.fleet, srv)
+		r.meters = append(r.meters, meter)
+		backends[i] = front.Backend{Server: srv, Cfg: ccfg, Name: name, Weight: 1}
 	}
-	tiers := make([][]int, len(spec.Tiers))
-	for ti := range spec.Tiers {
-		tiers[ti] = byGroup[groupIdx[spec.Tiers[ti].Group]]
+	var door front.Door
+	if spec != nil {
+		r.gd = graph.New(spec, backends, tiers)
+		door = r.gd
+	} else {
+		r.rt = route.New(rcfg, backends)
+		door = r.rt
 	}
-	gd := graph.New(spec, backends, tiers)
-	group := sim.NewShardGroup(0)
-	self := group.AddFunc(gd.Engine(), gd.Advance)
-	members := make([]int, len(fleet))
-	for i, srv := range fleet {
-		srv := srv
-		m := group.AddFunc(srv.Engine(), func(to sim.Time) {
-			if h := srv.Horizon(); to > h {
-				to = h
-			}
-			srv.StepTo(to)
-		})
-		group.Link(self, m, spec.NetDelay)
-		group.Link(m, self, spec.NetDelay)
-		members[i] = m
-	}
-	gd.Bind(group, self, members)
-	for _, srv := range fleet {
-		srv.Start()
-	}
-	return group, gd, fleet, meters, nil
+	r.group = sim.NewShardGroup(0)
+	front.Wire(r.group, door, r.fleet)
+	r.srv, r.meter = r.fleet[0], r.meters[0]
+	return nil
 }
 
 // ParseSystem resolves a system name as printed by cluster.SystemKind.
@@ -563,20 +495,10 @@ func NewRunner(cfg RunConfig, logW io.Writer, pace float64) (*Runner, error) {
 	if cfg.Routed && cfg.Graph != "" {
 		return nil, fmt.Errorf("serve: routed and graph modes are exclusive")
 	}
-	if cfg.Routed {
-		group, rt, fleet, meters, err := cfg.buildRouted()
-		if err != nil {
+	if cfg.Routed || cfg.Graph != "" {
+		if err := r.buildFleet(); err != nil {
 			return nil, err
 		}
-		r.group, r.rt, r.fleet, r.meters = group, rt, fleet, meters
-		r.srv, r.meter = fleet[0], meters[0]
-	} else if cfg.Graph != "" {
-		group, gd, fleet, meters, err := cfg.buildGraph()
-		if err != nil {
-			return nil, err
-		}
-		r.group, r.gd, r.fleet, r.meters = group, gd, fleet, meters
-		r.srv, r.meter = fleet[0], meters[0]
 	} else {
 		srv, meter, err := cfg.build()
 		if err != nil {
@@ -696,17 +618,50 @@ func (r *Runner) renderFinish() string {
 	return renderRoutedSummary(r.cfg, results, r.meters, r.rt.Finish(), r.applied)
 }
 
-// applyAction mutates the simulation at a barrier. Routed mode redirects
+// applyAction mutates the simulation at a barrier. Fleet mode redirects
 // the intensity knob to the front door's generators (applied to every
 // source), fleet-wide toggles to every backend, and targeted kinds (faults,
-// drain) to a.Server.
+// drain) to a.Server; drain needs a router.
 func (r *Runner) applyAction(a Action, at sim.Time) error {
-	if r.rt != nil {
-		return r.applyRouted(a, at)
+	if r.group == nil {
+		return r.applyServer(a, at)
 	}
-	if r.gd != nil {
-		return r.applyGraph(a, at)
+	if a.Server >= len(r.fleet) {
+		return fmt.Errorf("serve: server %d out of range (fleet has %d)", a.Server, len(r.fleet))
 	}
+	switch a.Kind {
+	case ActIntensity:
+		if r.rt != nil {
+			r.rt.SetIntensityAll(a.Intensity)
+		} else {
+			r.gd.SetIntensityAll(a.Intensity)
+		}
+		return nil
+	case ActHarvestOnBlock:
+		for _, srv := range r.fleet {
+			srv.SetHarvestOnBlock(a.On)
+		}
+		return nil
+	case ActResilience:
+		for _, srv := range r.fleet {
+			srv.SetResilienceEnabled(a.On)
+		}
+		return nil
+	case ActFaults:
+		return r.fleet[a.Server].InjectFaultPlan(a.Plan, at)
+	case ActDrain:
+		if r.rt == nil {
+			return fmt.Errorf("serve: drain needs a routed run")
+		}
+		r.rt.StartDrain(a.Server, sim.Duration(a.DeadlineMS*float64(sim.Millisecond)))
+		return nil
+	default:
+		return fmt.Errorf("serve: unknown action kind %q", a.Kind)
+	}
+}
+
+// applyServer mutates the single-server simulation at a barrier.
+func (r *Runner) applyServer(a Action, at sim.Time) error {
 	if a.Server != 0 {
 		return fmt.Errorf("serve: action targets server %d but the run is routerless", a.Server)
 	}
@@ -721,66 +676,6 @@ func (r *Runner) applyAction(a Action, at sim.Time) error {
 		return nil
 	case ActFaults:
 		return r.srv.InjectFaultPlan(a.Plan, at)
-	case ActDrain:
-		return fmt.Errorf("serve: drain needs a routed run")
-	default:
-		return fmt.Errorf("serve: unknown action kind %q", a.Kind)
-	}
-}
-
-func (r *Runner) applyRouted(a Action, at sim.Time) error {
-	if a.Server >= len(r.fleet) {
-		return fmt.Errorf("serve: server %d out of range (fleet has %d)", a.Server, len(r.fleet))
-	}
-	switch a.Kind {
-	case ActIntensity:
-		for src := range r.fleet {
-			r.rt.SetIntensity(src, a.Intensity)
-		}
-		return nil
-	case ActHarvestOnBlock:
-		for _, srv := range r.fleet {
-			srv.SetHarvestOnBlock(a.On)
-		}
-		return nil
-	case ActResilience:
-		for _, srv := range r.fleet {
-			srv.SetResilienceEnabled(a.On)
-		}
-		return nil
-	case ActFaults:
-		return r.fleet[a.Server].InjectFaultPlan(a.Plan, at)
-	case ActDrain:
-		r.rt.StartDrain(a.Server, sim.Duration(a.DeadlineMS*float64(sim.Millisecond)))
-		return nil
-	default:
-		return fmt.Errorf("serve: unknown action kind %q", a.Kind)
-	}
-}
-
-// applyGraph mutates the DAG fleet at a barrier: the intensity knob scales
-// every root generator, fleet-wide toggles hit every server, faults target
-// a.Server, and drain (a router concept) is rejected.
-func (r *Runner) applyGraph(a Action, at sim.Time) error {
-	if a.Server >= len(r.fleet) {
-		return fmt.Errorf("serve: server %d out of range (fleet has %d)", a.Server, len(r.fleet))
-	}
-	switch a.Kind {
-	case ActIntensity:
-		r.gd.SetIntensityAll(a.Intensity)
-		return nil
-	case ActHarvestOnBlock:
-		for _, srv := range r.fleet {
-			srv.SetHarvestOnBlock(a.On)
-		}
-		return nil
-	case ActResilience:
-		for _, srv := range r.fleet {
-			srv.SetResilienceEnabled(a.On)
-		}
-		return nil
-	case ActFaults:
-		return r.fleet[a.Server].InjectFaultPlan(a.Plan, at)
 	case ActDrain:
 		return fmt.Errorf("serve: drain needs a routed run")
 	default:

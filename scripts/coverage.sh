@@ -21,6 +21,7 @@ internal/scenario 85.0
 internal/stats 90.0
 internal/route 85.0
 internal/graph 85.0
+internal/front 90.0
 "
 
 check=false
