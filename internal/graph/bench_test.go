@@ -13,7 +13,7 @@ import (
 func BenchmarkGraphDispatch(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, _ := runSpec(b, graph.SocialNet(20*sim.Microsecond), 11, 1, 0, nil, false)
+		res, _ := runSpec(b, graph.SocialNet(20*sim.Microsecond), 11, 1, 0, nil, nil, false)
 		if res.Completed == 0 {
 			b.Fatal("no completions")
 		}

@@ -59,7 +59,8 @@ type node struct {
 	seqLeft     int
 }
 
-// rpcRec tracks one dispatched invocation RPC until its reply arrives.
+// rpcRec tracks one dispatched invocation RPC until its reply arrives. The
+// core's ledger stores it by value.
 type rpcRec struct {
 	n      *node
 	sentAt sim.Time
@@ -102,9 +103,15 @@ type Hop struct {
 // invocation pays exactly 2·NetDelay plus its server latency either way —
 // while keeping the join state machine on one deterministic member.
 type Dispatcher struct {
-	front.Core[*Dispatcher, *rpcRec]
+	front.Core[*Dispatcher, rpcRec]
 	spec  *Spec
 	tiers []*tierRT
+
+	// Free lists of drained requests and completed nodes. Both objects
+	// live only on the dispatcher's member, so recycling them never
+	// crosses goroutines.
+	freeReqs  []*request
+	freeNodes []*node
 
 	generated  uint64
 	completed  uint64
@@ -134,7 +141,7 @@ func New(spec *Spec, backends []Backend, tiers [][]int) *Dispatcher {
 		panic("graph: tier/server map length mismatch")
 	}
 	d := &Dispatcher{spec: spec, e2e: stats.NewSketch()}
-	d.Init("graph", d, spec.NetDelay, backends, front.Handlers[*rpcRec]{
+	d.Init("graph", d, spec.NetDelay, backends, front.Handlers[rpcRec]{
 		Admit: func(*front.Gen) { d.admitRoot() }, Reply: d.onReply,
 	})
 	sizes := make([]int, len(spec.Tiers))
@@ -200,12 +207,36 @@ func (d *Dispatcher) ScheduleRoot(at sim.Time) {
 func (d *Dispatcher) admitRoot() {
 	d.generated++
 	d.inflight++
-	req := &request{born: d.Now(), measured: d.Measuring()}
+	req := d.newRequest()
+	req.born, req.measured = d.Now(), d.Measuring()
 	if d.onComplete != nil {
 		req.hops = make([]Hop, 0, 8)
 	}
-	root := &node{req: req, tier: d.spec.Root}
-	d.dispatchRPC(root)
+	d.dispatchRPC(d.newNode(req, nil, d.spec.Root))
+}
+
+// newRequest takes a zeroed request from the free list, or allocates one.
+func (d *Dispatcher) newRequest() *request {
+	if n := len(d.freeReqs); n > 0 {
+		req := d.freeReqs[n-1]
+		d.freeReqs = d.freeReqs[:n-1]
+		return req
+	}
+	return &request{}
+}
+
+// newNode takes a node from the free list, or allocates one, and sets it
+// up as a fresh invocation of tier under parent.
+func (d *Dispatcher) newNode(req *request, parent *node, tier int) *node {
+	var n *node
+	if k := len(d.freeNodes); k > 0 {
+		n = d.freeNodes[k-1]
+		d.freeNodes = d.freeNodes[:k-1]
+	} else {
+		n = &node{}
+	}
+	*n = node{req: req, parent: parent, tier: tier}
+	return n
 }
 
 // ---- RPC dispatch and the join state machine ----
@@ -218,14 +249,14 @@ func (d *Dispatcher) dispatchRPC(n *node) {
 	t.rr++
 	t.dispatches++
 	d.dispatches++
-	d.Dispatch(p, t.vm, &rpcRec{n: n, sentAt: d.Now()})
+	d.Dispatch(p, t.vm, rpcRec{n: n, sentAt: d.Now()})
 }
 
 // onReply resolves one invocation RPC: record the hop, then either walk
 // the node's call stages (done) or short-circuit the subtree (shed — the
 // request is marked failed, the node completes without issuing calls, and
 // the join bookkeeping drains normally).
-func (d *Dispatcher) onReply(_ uint64, rec *rpcRec, shed bool) {
+func (d *Dispatcher) onReply(_ uint64, rec rpcRec, shed bool) {
 	n := rec.n
 	t := d.tiers[n.tier]
 	if n.req.hops != nil {
@@ -261,23 +292,26 @@ func (d *Dispatcher) nextStage(n *node) {
 		for _, c := range st.par {
 			for k := 0; k < c.Fanout; k++ {
 				n.outstanding++
-				d.dispatchRPC(&node{req: n.req, parent: n, tier: c.Tier})
+				d.dispatchRPC(d.newNode(n.req, n, c.Tier))
 			}
 		}
 		return
 	}
 	n.outstanding = 1
 	n.seqLeft = st.seq.Fanout - 1
-	d.dispatchRPC(&node{req: n.req, parent: n, tier: st.seq.Tier})
+	d.dispatchRPC(d.newNode(n.req, n, st.seq.Tier))
 }
 
 // completeNode marks n's subtree complete and propagates the join upward;
-// a completed root drains the request.
+// a completed root drains the request. n goes back to the free list first:
+// its children have all completed, and its ledger record was released
+// before its reply was handled, so nothing references it any more.
 func (d *Dispatcher) completeNode(n *node) {
-	p := n.parent
+	p, req := n.parent, n.req
+	*n = node{}
+	d.freeNodes = append(d.freeNodes, n)
 	if p == nil {
 		d.inflight--
-		req := n.req
 		e2e := d.Now().Sub(req.born)
 		if req.failed {
 			d.failed++
@@ -290,11 +324,14 @@ func (d *Dispatcher) completeNode(n *node) {
 		if d.onComplete != nil {
 			d.onComplete(e2e, req.failed, req.hops)
 		}
+		// The observer may keep hops, so the next request gets its own.
+		*req = request{}
+		d.freeReqs = append(d.freeReqs, req)
 		return
 	}
 	if p.seqLeft > 0 {
 		p.seqLeft--
-		d.dispatchRPC(&node{req: p.req, parent: p, tier: d.tiers[p.tier].stages[p.stage].seq.Tier})
+		d.dispatchRPC(d.newNode(p.req, p, d.tiers[p.tier].stages[p.stage].seq.Tier))
 		return
 	}
 	p.outstanding--

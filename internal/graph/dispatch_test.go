@@ -24,7 +24,9 @@ type reqObs struct {
 // every drained request unless observe is false (then no OnComplete hook is
 // installed). roots, when non-zero, schedules that many explicit root
 // admissions at 1ms spacing from measureStart (the ScheduleRoot hook).
-func runSpec(t testing.TB, spec *graph.Spec, seed uint64, workers, roots int, wide map[string]int, observe bool) (*graph.Result, []reqObs) {
+// maxQueue, when set, gives the servers of the named groups that
+// queue-depth admission limit, so they shed.
+func runSpec(t testing.TB, spec *graph.Spec, seed uint64, workers, roots int, wide, maxQueue map[string]int, observe bool) (*graph.Result, []reqObs) {
 	t.Helper()
 	if err := spec.Validate(); err != nil {
 		t.Fatalf("fixture spec invalid: %v", err)
@@ -45,6 +47,7 @@ func runSpec(t testing.TB, spec *graph.Spec, seed uint64, workers, roots int, wi
 			cfg.Seed = seed + uint64(len(fleet))*7919
 			opts := cluster.SystemOptions(cluster.HardHarvestBlock)
 			opts.RemoteAdmission = true
+			opts.Resilience.MaxQueueDepth = maxQueue[gname]
 			srv := cluster.NewServer(cfg, opts, work)
 			groupServers[gname] = append(groupServers[gname], len(fleet))
 			fleet = append(fleet, srv)
@@ -83,7 +86,7 @@ func runSpec(t testing.TB, spec *graph.Spec, seed uint64, workers, roots int, wi
 // NetDelay crossings.
 func TestE2EDominatesEveryHop(t *testing.T) {
 	spec := graph.SocialNet(20 * sim.Microsecond)
-	res, obs := runSpec(t, spec, 11, 1, 0, nil, true)
+	res, obs := runSpec(t, spec, 11, 1, 0, nil, nil, true)
 	if res.Completed < 50 {
 		t.Fatalf("only %d completions; fixture too quiet for a property test", res.Completed)
 	}
@@ -145,7 +148,7 @@ func TestSerialChainExactSum(t *testing.T) {
 	if n := spec.Nodes(); n != 5 {
 		t.Fatalf("chain Nodes() = %d, want 5 (a + 2x(b + c))", n)
 	}
-	res, obs := runSpec(t, spec, 17, 1, 3, nil, true)
+	res, obs := runSpec(t, spec, 17, 1, 3, nil, nil, true)
 	if res.Generated < 3 {
 		t.Fatalf("generated %d < the 3 explicitly scheduled roots", res.Generated)
 	}
@@ -184,32 +187,43 @@ func TestSerialChainExactSum(t *testing.T) {
 // round-robin path under test.
 func TestDispatcherWorkerInvariance(t *testing.T) {
 	wide := map[string]int{"frontend": 1}
-	base, baseObs := runSpec(t, graph.SocialNet(20*sim.Microsecond), 23, 1, 0, wide, true)
-	if base.Completed == 0 {
-		t.Fatal("no completions")
-	}
-	for _, workers := range []int{2, 8} {
-		got, gotObs := runSpec(t, graph.SocialNet(20*sim.Microsecond), 23, workers, 0, wide, true)
-		if got.Generated != base.Generated || got.Completed != base.Completed ||
-			got.Dispatches != base.Dispatches || got.E2E.Count() != base.E2E.Count() ||
-			got.E2E.P99() != base.E2E.P99() {
-			t.Fatalf("ledger diverged at workers=%d:\n1: %+v\n%d: %+v", workers, base, workers, got)
+	// The shedding variant caps the leaf tier's queues, so done and shed
+	// replies both cross members and failed requests drain their joins.
+	for _, maxQueue := range []map[string]int{nil, {"leaf": 1}} {
+		base, baseObs := runSpec(t, graph.SocialNet(20*sim.Microsecond), 23, 1, 0, wide, maxQueue, true)
+		if base.Completed == 0 {
+			t.Fatal("no completions")
 		}
-		for i := range base.Tiers {
-			b, g := base.Tiers[i], got.Tiers[i]
-			if b.Dispatches != g.Dispatches || b.Dones != g.Dones || b.Sheds != g.Sheds ||
-				b.Hop.Count() != g.Hop.Count() || b.Hop.P99() != g.Hop.P99() {
-				t.Fatalf("tier %s diverged at workers=%d: %+v vs %+v", b.Name, workers, b, g)
+		if maxQueue != nil && (base.ShedRecv == 0 || base.Failed == 0) {
+			t.Fatalf("shedding variant shed %d invocations, failed %d requests", base.ShedRecv, base.Failed)
+		}
+		for _, workers := range []int{2, 8} {
+			got, gotObs := runSpec(t, graph.SocialNet(20*sim.Microsecond), 23, workers, 0, wide, maxQueue, true)
+			if got.Generated != base.Generated || got.Completed != base.Completed ||
+				got.Failed != base.Failed || got.Dispatches != base.Dispatches ||
+				got.ShedRecv != base.ShedRecv || got.E2E.Count() != base.E2E.Count() ||
+				got.E2E.P99() != base.E2E.P99() {
+				t.Fatalf("ledger diverged at workers=%d maxQueue=%v:\n1: %+v\n%d: %+v",
+					workers, maxQueue, base, workers, got)
 			}
-		}
-		if len(gotObs) != len(baseObs) {
-			t.Fatalf("observation stream length diverged at workers=%d: %d vs %d",
-				workers, len(gotObs), len(baseObs))
-		}
-		for i := range baseObs {
-			if gotObs[i].e2e != baseObs[i].e2e || gotObs[i].failed != baseObs[i].failed {
-				t.Fatalf("request %d diverged at workers=%d: %+v vs %+v",
-					i, workers, baseObs[i], gotObs[i])
+			for i := range base.Tiers {
+				b, g := base.Tiers[i], got.Tiers[i]
+				if b.Dispatches != g.Dispatches || b.Dones != g.Dones || b.Sheds != g.Sheds ||
+					b.Hop.Count() != g.Hop.Count() || b.Hop.P99() != g.Hop.P99() {
+					t.Fatalf("tier %s diverged at workers=%d maxQueue=%v: %+v vs %+v",
+						b.Name, workers, maxQueue, b, g)
+				}
+			}
+			if len(gotObs) != len(baseObs) {
+				t.Fatalf("observation stream length diverged at workers=%d maxQueue=%v: %d vs %d",
+					workers, maxQueue, len(gotObs), len(baseObs))
+			}
+			for i := range baseObs {
+				if gotObs[i].e2e != baseObs[i].e2e || gotObs[i].failed != baseObs[i].failed ||
+					len(gotObs[i].hops) != len(baseObs[i].hops) {
+					t.Fatalf("request %d diverged at workers=%d maxQueue=%v: %+v vs %+v",
+						i, workers, maxQueue, baseObs[i], gotObs[i])
+				}
 			}
 		}
 	}
@@ -218,7 +232,7 @@ func TestDispatcherWorkerInvariance(t *testing.T) {
 // TestHopSketchesAndTierByName covers the result accessors feeding the
 // Monte-Carlo cross-check.
 func TestHopSketchesAndTierByName(t *testing.T) {
-	res, _ := runSpec(t, graph.SocialNet(20*sim.Microsecond), 31, 0, 0, nil, true)
+	res, _ := runSpec(t, graph.SocialNet(20*sim.Microsecond), 31, 0, 0, nil, nil, true)
 	hops := res.HopSketches()
 	if len(hops) != 4 {
 		t.Fatalf("HopSketches has %d tiers, want 4", len(hops))

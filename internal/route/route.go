@@ -161,7 +161,7 @@ type attemptRec struct {
 // generators, the run window, the dispatch/reply plumbing and the attempt
 // ledger; the router adds policies, health, ejection, failover and drain.
 type Router struct {
-	front.Core[*Router, *attemptRec]
+	front.Core[*Router, attemptRec]
 	cfg      Config
 	backends []*backendRT
 
@@ -198,7 +198,7 @@ func New(cfg Config, specs []Backend) *Router {
 		panic("route: " + err.Error())
 	}
 	rt := &Router{cfg: cfg, fleetLat: stats.NewSketch()}
-	rt.Init("route", rt, cfg.NetDelay, specs, front.Handlers[*attemptRec]{
+	rt.Init("route", rt, cfg.NetDelay, specs, front.Handlers[attemptRec]{
 		Admit: rt.admit, Reply: rt.onReply, Crash: rt.sendCrash,
 	})
 	vms := make([]int, specs[0].Cfg.PrimaryVMs)
@@ -278,7 +278,7 @@ func (rt *Router) dispatch(req *pendingReq) bool {
 	if b == nil {
 		return false
 	}
-	id := rt.Dispatch(b.Port, req.vm, &attemptRec{req: req, backend: b.Idx, sentAt: rt.Now()})
+	id := rt.Dispatch(b.Port, req.vm, attemptRec{req: req, backend: b.Idx, sentAt: rt.Now()})
 	req.cur = id
 	req.nAttempts++
 	req.outstanding++
@@ -291,7 +291,7 @@ func (rt *Router) dispatch(req *pendingReq) bool {
 // onReply resolves one attempt's fate. A reply for a superseded or already
 // resolved request is a zombie: the stranded attempt kept running on its
 // server and its outcome is counted but never re-resolves the request.
-func (rt *Router) onReply(id uint64, rec *attemptRec, shed bool) {
+func (rt *Router) onReply(id uint64, rec attemptRec, shed bool) {
 	req := rec.req
 	req.outstanding--
 	b := rt.backends[rec.backend]

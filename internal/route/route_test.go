@@ -139,27 +139,41 @@ func TestRoutedFleetBasic(t *testing.T) {
 
 // TestRoutedFleetDeterminism: the worker count is an execution detail —
 // the rendered result must be byte-identical at 1, 2, and 8 workers and
-// across repeats, for every policy.
+// across repeats, for every policy. Server 0 crashes mid-run (failover and
+// zombie replies); in the shedding variant server 1 also sheds at a
+// one-deep queue, so done, shed and zombie replies all cross members.
 func TestRoutedFleetDeterminism(t *testing.T) {
-	for _, pol := range []Policy{RoundRobin, LeastOutstanding, Weighted} {
-		rc := DefaultConfig()
-		rc.Policy = pol
-		spec := func(workers int) fleetSpec {
-			return fleetSpec{n: 3, workers: workers, rc: rc,
-				edit: func(i int, cfg *cluster.Config, opts *cluster.Options) {
-					if i == 0 {
-						cfg.FaultPlan = &faults.Plan{Events: []faults.ScriptedEvent{
-							{AtMS: 10, Kind: "crash", DurationMS: 8},
-						}}
-					}
-				}}
-		}
-		base := render(func() *Result { r, _ := runFleet(t, spec(1)); return r }())
-		for _, workers := range []int{1, 2, 8} {
-			got := render(func() *Result { r, _ := runFleet(t, spec(workers)); return r }())
-			if got != base {
-				t.Fatalf("policy %v: workers=%d diverged:\n--- workers=1\n%s--- workers=%d\n%s",
-					pol, workers, base, workers, got)
+	for _, shedding := range []bool{false, true} {
+		for _, pol := range []Policy{RoundRobin, LeastOutstanding, Weighted} {
+			rc := DefaultConfig()
+			rc.Policy = pol
+			spec := func(workers int) fleetSpec {
+				return fleetSpec{n: 3, workers: workers, rc: rc,
+					edit: func(i int, cfg *cluster.Config, opts *cluster.Options) {
+						if i == 0 {
+							cfg.FaultPlan = &faults.Plan{Events: []faults.ScriptedEvent{
+								{AtMS: 10, Kind: "crash", DurationMS: 8},
+							}}
+						}
+						if i == 1 && shedding {
+							opts.Resilience.MaxQueueDepth = 1
+						}
+					}}
+			}
+			baseRes, _ := runFleet(t, spec(1))
+			if shedding && baseRes.ShedRecv == 0 {
+				t.Fatalf("policy %v: shedding variant shed nothing", pol)
+			}
+			if baseRes.ZombieDones+baseRes.ZombieSheds == 0 {
+				t.Fatalf("policy %v shedding=%v: no zombie replies", pol, shedding)
+			}
+			base := render(baseRes)
+			for _, workers := range []int{1, 2, 8} {
+				got := render(func() *Result { r, _ := runFleet(t, spec(workers)); return r }())
+				if got != base {
+					t.Fatalf("policy %v shedding=%v: workers=%d diverged:\n--- workers=1\n%s--- workers=%d\n%s",
+						pol, shedding, workers, base, workers, got)
+				}
 			}
 		}
 	}

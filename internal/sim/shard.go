@@ -1,9 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -40,8 +41,11 @@ type ShardGroup struct {
 	// links[dst] lists the inbound links of member dst.
 	links [][]shardLink
 
-	// floors is the per-window scratch for the fixpoint in step 2.
+	// floors is the per-window scratch for the fixpoint in step 2; batch
+	// holds the members that advance this window. Both are reused across
+	// windows, so a steady-state window allocates nothing.
 	floors []Time
+	batch  []*shardMember
 }
 
 type shardLink struct {
@@ -186,15 +190,7 @@ func (g *ShardGroup) deliver() {
 			continue
 		}
 		box := m.inbox
-		sort.Slice(box, func(i, j int) bool {
-			if box[i].when != box[j].when {
-				return box[i].when < box[j].when
-			}
-			if box[i].src != box[j].src {
-				return box[i].src < box[j].src
-			}
-			return box[i].seq < box[j].seq
-		})
+		slices.SortFunc(box, compareMsg)
 		for _, msg := range box {
 			if msg.when <= m.doneTo {
 				panic(fmt.Sprintf("sim: shard causality violation: message at %v for member %d already at %v",
@@ -204,6 +200,19 @@ func (g *ShardGroup) deliver() {
 		}
 		m.inbox = m.inbox[:0]
 	}
+}
+
+// compareMsg orders messages by (when, src, seq). No two messages share a
+// (src, seq) pair, so the order is total and an unstable sort is
+// deterministic.
+func compareMsg(x, y shardMsg) int {
+	if c := cmp.Compare(x.when, y.when); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(x.src, y.src); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.seq, y.seq)
 }
 
 // computeFloors fills g.floors with each member's earliest possible
@@ -259,7 +268,7 @@ func (g *ShardGroup) Run(horizon Time) {
 		}
 		g.computeFloors()
 		// Caps: how far each member may run this window.
-		var batch []*shardMember
+		batch := g.batch[:0]
 		for i, m := range g.members {
 			cap := horizon
 			for _, l := range g.links[i] {
@@ -279,6 +288,7 @@ func (g *ShardGroup) Run(horizon Time) {
 			m.doneTo = cap
 			batch = append(batch, m)
 		}
+		g.batch = batch
 		if len(batch) == 0 {
 			continue // a delivery or floor change must unblock the next loop
 		}
@@ -300,6 +310,13 @@ func (g *ShardGroup) runBatch(batch []*shardMember) {
 		}
 		return
 	}
+	fanOut(batch, w)
+}
+
+// fanOut runs batch on w goroutines and waits for all of them. It is kept
+// out of runBatch so the WaitGroup and goroutine closures escape only on
+// the multi-worker path; a 1-worker window allocates nothing.
+func fanOut(batch []*shardMember, w int) {
 	var wg sync.WaitGroup
 	wg.Add(w)
 	for k := 0; k < w; k++ {

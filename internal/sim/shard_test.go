@@ -248,3 +248,53 @@ func BenchmarkShardGroupFleet(b *testing.B) {
 		g.Run(Time(10_000_000))
 	}
 }
+
+// echoCB bounces every message straight back to its peer, forever, and
+// counts the messages it received.
+type echoCB struct {
+	g          *ShardGroup
+	self, peer int
+	peerCB     Callback
+	la         Duration
+	got        int
+}
+
+func (e *echoCB) OnEvent(op int32, _, _ any) {
+	e.got++
+	e.g.Send(e.self, e.peer, e.la, e.peerCB, op, nil, nil)
+}
+
+// TestShardGroupWindowAllocFree pins the coordinator's steady state: a warm
+// two-member group that exchanges messages in every window (inbox sort,
+// delivery, floors, caps and the batch run) allocates nothing per Run step.
+func TestShardGroupWindowAllocFree(t *testing.T) {
+	g := NewShardGroup(1)
+	la := Duration(100)
+	a, b := NewEngine(), NewEngine()
+	ida, idb := g.Add(a), g.Add(b)
+	g.Link(ida, idb, la)
+	g.Link(idb, ida, la)
+	ca := &echoCB{g: g, self: ida, peer: idb, la: la}
+	cb := &echoCB{g: g, self: idb, peer: ida, la: la, peerCB: ca}
+	ca.peerCB = cb
+	// Several messages in flight each way, so inboxes need real sorting.
+	for k := 0; k < 4; k++ {
+		a.ScheduleCall(Duration(1+7*k), ca, int32(k), nil, nil)
+		b.ScheduleCall(Duration(3+5*k), cb, int32(k), nil, nil)
+	}
+	now := Time(0)
+	step := func() {
+		now += 1_000
+		g.Run(now)
+	}
+	for i := 0; i < 10; i++ {
+		step() // warm inboxes, slabs and group scratch
+	}
+	before := ca.got + cb.got
+	if avg := testing.AllocsPerRun(100, step); avg != 0 {
+		t.Fatalf("warm ShardGroup.Run step allocates %.1f, want 0", avg)
+	}
+	if ca.got+cb.got == before {
+		t.Fatal("no messages crossed members during the measured steps")
+	}
+}
