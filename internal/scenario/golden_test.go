@@ -15,14 +15,20 @@ var bless = flag.Bool("bless", false, "regenerate golden summaries instead of co
 
 // goldenScenarios are the byte-pinned scenario summaries: the DAG pipeline
 // (socialnet-dag), the router's crash/failover/zombie path (failover), its
-// intensity actions, drain and faults (rolling-deploy), and a DAG rooted
-// on VM 1 (graph-root-vm1), whose summary moves if the dispatcher's
-// generator streams are drawn in any other order.
+// intensity actions, drain and faults (rolling-deploy), a DAG rooted on
+// VM 1 (graph-root-vm1), whose summary moves if the dispatcher's generator
+// streams are drawn in any other order, and the routerless server actions:
+// intensity, flash crowd and resilience (flash-crowd), harvest-on-block
+// toggles (policy-ab), and a fault plan whose crash begins exactly on its
+// action barrier (rack-failure).
 var goldenScenarios = []struct{ name, path string }{
 	{"socialnet-dag", "../../scenarios/socialnet-dag.yaml"},
 	{"failover", "../../scenarios/failover.yaml"},
 	{"rolling-deploy", "../../scenarios/rolling-deploy.yaml"},
 	{"graph-root-vm1", "testdata/graph-root-vm1.yaml"},
+	{"flash-crowd", "../../scenarios/flash-crowd.yaml"},
+	{"policy-ab", "../../scenarios/policy-ab.yaml"},
+	{"rack-failure", "../../scenarios/rack-failure.yaml"},
 }
 
 // TestGolden pins the full rendered summary of each golden scenario byte
