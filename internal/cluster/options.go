@@ -133,17 +133,18 @@ type Options struct {
 	// tracers and samplers). The presets leave it nil: with no observer the
 	// simulator pays a single nil check per hook site and allocates
 	// nothing. An Observer instance must not be shared between concurrently
-	// running servers; RunCluster therefore runs its servers sequentially
-	// when Observer is set. Use ServerObserver to instrument a cluster
-	// without giving up server parallelism.
+	// running servers; RunCluster therefore runs its servers one after
+	// another, each to completion, when Observer is set. Use ServerObserver
+	// to instrument a cluster without giving up server parallelism.
 	Observer Observer
 
 	// ServerObserver, when non-nil, resolves one observer per cluster
 	// server: RunCluster calls it once per server, in server order, on the
-	// calling goroutine, then runs the servers in parallel with each server
-	// owning the observer it was handed (nil leaves that server
-	// uninstrumented). Because each server gets a private observer, setting
-	// ServerObserver keeps the parallel path, unlike Observer.
+	// calling goroutine, building and starting that server before resolving
+	// the next, then advances the servers in parallel on a sim.ShardGroup
+	// with each server owning the observer it was handed (nil leaves that
+	// server uninstrumented). Because each server gets a private observer,
+	// setting ServerObserver keeps the parallel path, unlike Observer.
 	// ServerObserver takes precedence over Observer when both are set.
 	ServerObserver func(server int, workload string) Observer
 

@@ -17,17 +17,17 @@ import (
 )
 
 // The scenario runner. A scenario compiles to one serverSpec per fleet
-// server plus a sorted list of barrier-aligned control actions per server;
-// each server then runs the same pause-free barrier loop a served run uses
-// (Start / apply actions / StepTo / Finish), so scenario execution inherits
-// the step-equivalence guarantee of DESIGN §8: the barrier cadence is a
-// control-plane detail that never perturbs the simulated event sequence.
-// Servers are independent (no cross-server events) and become members of a
-// sim.ShardGroup — one engine per server, advanced in parallel across
+// server plus a sorted list of barrier-aligned control actions per server
+// (and, in fronted runs, for the front door). Every action becomes an
+// engine event at its barrier, so the run is one engine event sequence per
+// member: by the step-equivalence guarantee of DESIGN §8, how far each
+// engine is stepped at a time never perturbs it. Each server is a member
+// of a sim.ShardGroup — one engine per server, advanced in parallel across
 // worker goroutines — with seeds derived exactly as RunCluster derives
-// them. The group's conservative windows are independent of the worker
-// count, so identical inputs produce a byte-identical summary at any
-// -shards value, including 1.
+// them; fronted runs add the router or DAG dispatcher as one more member
+// linked to every server. The group's conservative windows are independent
+// of the worker count, so identical inputs produce a byte-identical summary
+// at any -shards value, including 1.
 
 // action kinds, in the order they apply within one barrier.
 type actKind int
@@ -250,68 +250,26 @@ func (r *Report) OK() bool { return r.Failed == 0 }
 func (sc *Scenario) Run() (*Report, error) { return sc.RunShards(0) }
 
 // srvState is one fleet server being advanced inside the shard group: the
-// live server plus its barrier-loop cursor. Each state is touched by exactly
-// one advance call at a time; the group's window barriers order those calls.
+// live server plus its action ledger. Only the server's own engine events
+// touch it, so it needs no lock.
 type srvState struct {
 	spec    *serverSpec
 	srv     *cluster.Server
 	meter   *obs.Meter
 	audit   *obs.Audit
-	barrier sim.Time
-	next    int // next un-applied action
 	applied int
-	done    bool
 	err     error
 }
 
-// advance runs the server's barrier loop up to simulated time `to`
-// (inclusive): apply due actions, then step. Instead of pacing at the
-// scenario step, it fast-forwards straight to the next action barrier or to
-// `to` — by DESIGN §8's step-equivalence the barrier cadence never perturbs
-// the event sequence, so skipping empty barriers is O(1) per gap and
-// byte-neutral.
-func (st *srvState) advance(to sim.Time) {
-	if st.done || st.err != nil {
-		return
-	}
-	acts := st.spec.actions
-	for {
-		for st.next < len(acts) && acts[st.next].at <= st.barrier {
-			if err := applyAction(st.srv, acts[st.next], st.barrier); err != nil {
-				st.err = err
-				return
-			}
-			st.applied++
-			st.next++
-		}
-		nb := to
-		if h := st.srv.Horizon(); nb > h {
-			nb = h
-		}
-		if st.next < len(acts) && acts[st.next].at < nb {
-			nb = acts[st.next].at
-		}
-		if st.srv.StepTo(nb) {
-			st.done = true
-			return
-		}
-		if nb >= to {
-			return
-		}
-		st.barrier = nb
-	}
-}
-
-// scheduleActions installs a fronted server's compiled actions as engine
-// events so the shard group's floor computation accounts for them. The
-// barrier loop (advance) would be wrong here: it applies actions outside
-// the event queue, where the group's conservative floors cannot see them,
-// so another member could already hold a window grant past
-// actionTime+lookahead when the action's side effects (e.g. an injected
-// crash notifying the router) send it a message. An apply error
-// is recorded and later actions are skipped, but the simulation keeps
-// running — freezing the engine mid-group-run would stall every linked
-// member's window cap.
+// scheduleActions installs the server's compiled actions as engine events.
+// Call it before the server starts: an action then fires ahead of every
+// other event at its barrier instant. As events, actions are visible to
+// the shard group's floor computation, so a member idles until its next
+// action like until any other event, and an action whose side effects
+// message another member (an injected crash notifying the router) is
+// covered by the conservative window caps. An apply error is recorded and
+// later actions are skipped, but the simulation keeps running — freezing
+// the engine mid-group-run would stall every linked member's window cap.
 func (st *srvState) scheduleActions() {
 	for _, a := range st.spec.actions {
 		a := a
@@ -329,13 +287,14 @@ func (st *srvState) scheduleActions() {
 }
 
 // RunShards is Run with an explicit worker count: the fleet becomes a
-// sim.ShardGroup with one member per server, advanced on up to `shards`
-// goroutines (<= 0 selects GOMAXPROCS). Fleet servers exchange no events,
-// so every member advances to the horizon in one conservative window; the
-// group's window algorithm is independent of the worker count, so summaries
-// are byte-identical at any shards value. Fleet servers record latencies in
-// bounded sketch mode (stats.Sketch): memory stays flat across
-// thousand-server, long-horizon runs.
+// sim.ShardGroup with one member per server, plus the router or dispatcher
+// in fronted runs, advanced on up to `shards` goroutines (<= 0 selects
+// GOMAXPROCS). Routerless servers exchange no events, so they all advance
+// to the horizon in one conservative window; fronted members advance in
+// lookahead-bounded windows. The group's window algorithm is independent
+// of the worker count, so summaries are byte-identical at any shards value.
+// Fleet servers record latencies in bounded sketch mode (stats.Sketch):
+// memory stays flat across thousand-server, long-horizon runs.
 func (sc *Scenario) RunShards(shards int) (*Report, error) {
 	specs, fronts, err := sc.compile()
 	if err != nil {
@@ -364,11 +323,10 @@ func (sc *Scenario) RunShards(shards int) (*Report, error) {
 		srv := cluster.NewServer(s.cfg, s.opts, s.work)
 		st := &srvState{spec: s, srv: srv, meter: meter, audit: audit}
 		states[i], servers[i] = st, srv
+		st.scheduleActions()
 		if fronted {
-			// Fronted: arrival generation is off, actions are engine
-			// events, and front.Wire starts the server once the front door
-			// has installed its hooks.
-			st.scheduleActions()
+			// Fronted: arrival generation is off, and front.Wire starts the
+			// server once the front door has installed its hooks.
 			backends[i] = front.Backend{
 				Server: srv, Cfg: s.cfg,
 				Name:   fmt.Sprintf("server%d[%s]", s.index, s.group.Name),
@@ -378,7 +336,7 @@ func (sc *Scenario) RunShards(shards int) (*Report, error) {
 		}
 		srv.Start()
 		horizon = max(horizon, srv.Horizon())
-		group.AddFunc(srv.Engine(), st.advance)
+		group.AddFunc(srv.Engine(), func(to sim.Time) { srv.StepTo(to) })
 	}
 	var rt *route.Router
 	var gd *graph.Dispatcher

@@ -28,8 +28,12 @@ import (
 //  3. Advance each member to its safe cap: the horizon, bounded by
 //     floor(src) + lookahead - 1 over its inbound links. No message can
 //     arrive below the cap, so members advance in parallel with no locks
-//     on the hot path. Members whose cap grants nothing new are skipped in
-//     O(1) — the idle fast-forward.
+//     on the hot path. A member whose cap grants nothing new, or whose own
+//     floor lies past its cap (no event can fire at or below it), is not
+//     called at all: its cap is recorded in O(1) — the idle fast-forward.
+//     Every member gets it, because every member's advance only runs its
+//     engine (see AddFunc), and Engine.Run does not move the clock when no
+//     event fires.
 //
 // The window boundaries depend only on event floors and lookaheads — never
 // on the worker count — so a group produces byte-identical simulation
@@ -57,7 +61,6 @@ type shardMember struct {
 	id      int
 	eng     *Engine
 	advance func(to Time)
-	autoRun bool // default advance: safe to skip when no events are due
 
 	// doneTo is the highest cap this member has fully advanced to.
 	doneTo Time
@@ -104,19 +107,14 @@ func (g *ShardGroup) Members() int { return len(g.members) }
 // group advances it by calling eng.Run. Returns the member id used by Link
 // and Send.
 func (g *ShardGroup) Add(eng *Engine) int {
-	m := &shardMember{id: len(g.members), eng: eng, doneTo: -1, autoRun: true}
-	m.advance = func(to Time) { eng.Run(to) }
-	g.members = append(g.members, m)
-	g.links = append(g.links, nil)
-	return m.id
+	return g.AddFunc(eng, func(to Time) { eng.Run(to) })
 }
 
-// AddFunc registers an engine advanced by custom model code: advance(to)
-// must execute the member's model up to and including simulated time `to`
-// (typically wrapping eng.Run with control-plane work such as scenario
-// actions). Unlike Add, the advance function is invoked for every window
-// even when no engine events are due, because the group cannot know what
-// time-driven work the closure performs.
+// AddFunc is Add with a custom advance: advance(to) must run the member's
+// engine up to and including simulated time `to` and do nothing else — it
+// may clamp `to` to an earlier horizon or wrap the call in timing code, but
+// all model work, control actions included, must be engine events. The
+// group skips the call whenever no event is due at or below the window cap.
 func (g *ShardGroup) AddFunc(eng *Engine, advance func(to Time)) int {
 	if advance == nil {
 		panic("sim: nil advance func")
@@ -279,7 +277,7 @@ func (g *ShardGroup) Run(horizon Time) {
 			if cap <= m.doneTo {
 				continue // not allowed further yet
 			}
-			if m.autoRun && g.floors[i] > cap {
+			if g.floors[i] > cap {
 				// Idle fast-forward: nothing can execute at or below the
 				// cap, so the member "advances" in O(1) with no dispatch.
 				m.doneTo = cap

@@ -214,26 +214,74 @@ func TestShardGroupPanics(t *testing.T) {
 	mustPanic("nil advance", func() { g.AddFunc(NewEngine(), nil) })
 }
 
-// TestShardGroupAddFunc checks that custom advance members are driven for
-// every window and observe monotone, inclusive caps up to the horizon.
+// TestShardGroupAddFunc pins AddFunc's contract: the advance function only
+// runs the member's engine, so the group skips it whenever no event is due
+// at or below the window cap, and a custom advance ends in exactly the
+// engine state Add's default advance reaches.
 func TestShardGroupAddFunc(t *testing.T) {
-	g := NewShardGroup(2)
-	eng := NewEngine()
-	var caps []Time
-	g.AddFunc(eng, func(to Time) {
-		caps = append(caps, to)
-		eng.Run(to)
-	})
-	g.Run(Time(500))
-	g.Run(Time(900))
-	if len(caps) == 0 || caps[len(caps)-1] != 900 {
-		t.Fatalf("caps = %v, want final cap 900", caps)
-	}
-	for i := 1; i < len(caps); i++ {
-		if caps[i] <= caps[i-1] {
-			t.Fatalf("caps not strictly increasing: %v", caps)
+	t.Run("idle member is never called", func(t *testing.T) {
+		g := NewShardGroup(2)
+		eng := NewEngine()
+		var caps []Time
+		g.AddFunc(eng, func(to Time) {
+			caps = append(caps, to)
+			eng.Run(to)
+		})
+		g.Run(Time(500))
+		if len(caps) != 0 {
+			t.Fatalf("idle member advanced with caps %v", caps)
 		}
-	}
+		// The group recorded the horizon: an event scheduled past it runs
+		// in the next Run, in one call capped at the new horizon.
+		c := &chainCB{eng: eng, step: 1, limit: 1}
+		eng.CallAt(Time(600), c, 0, nil, nil)
+		g.Run(Time(900))
+		if !reflect.DeepEqual(caps, []Time{900}) || !reflect.DeepEqual(c.log, []Time{600}) {
+			t.Fatalf("caps = %v, log = %v; want [900], [600]", caps, c.log)
+		}
+	})
+	t.Run("busy member matches Add", func(t *testing.T) {
+		g := NewShardGroup(2)
+		// A pacer linked to both members keeps their caps short, so they
+		// advance over many windows with idle gaps between their events.
+		pacer := NewEngine()
+		pacer.ScheduleCall(1, &chainCB{eng: pacer, step: 100, limit: 50}, 0, nil, nil)
+		p := g.Add(pacer)
+		fn, plain := NewEngine(), NewEngine()
+		fnCB := &chainCB{eng: fn, step: 370, limit: 12}
+		plainCB := &chainCB{eng: plain, step: 370, limit: 12}
+		fn.ScheduleCall(3, fnCB, 0, nil, nil)
+		plain.ScheduleCall(3, plainCB, 0, nil, nil)
+		var caps []Time
+		a := g.AddFunc(fn, func(to Time) {
+			before := fn.Fired()
+			caps = append(caps, to)
+			fn.Run(to)
+			if fn.Fired() == before {
+				t.Errorf("member called at cap %v with no event due", to)
+			}
+		})
+		b := g.Add(plain)
+		g.Link(p, a, 50)
+		g.Link(p, b, 50)
+		g.Run(Time(3_000))
+		g.Run(Time(10_000))
+		if len(caps) < 2 {
+			t.Fatalf("caps = %v, want several windows", caps)
+		}
+		for i := 1; i < len(caps); i++ {
+			if caps[i] <= caps[i-1] {
+				t.Fatalf("caps not strictly increasing: %v", caps)
+			}
+		}
+		if fn.Now() != plain.Now() || fn.Fired() != plain.Fired() || !reflect.DeepEqual(fnCB.log, plainCB.log) {
+			t.Fatalf("AddFunc member at %v after %d events, Add member at %v after %d",
+				fn.Now(), fn.Fired(), plain.Now(), plain.Fired())
+		}
+		if len(fnCB.log) != 12 {
+			t.Fatalf("member fired %d events, want 12", len(fnCB.log))
+		}
+	})
 }
 
 func BenchmarkShardGroupFleet(b *testing.B) {
