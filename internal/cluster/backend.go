@@ -90,17 +90,17 @@ type backend interface {
 // hwBackend adapts the core.Controller.
 type hwBackend struct {
 	ctrl *core.Controller
-	reqs map[core.ReqID]*request
-	next core.ReqID
+	// reqs maps a controller-side request's ID back to the cluster request
+	// it carries (nil while the object waits in hwFree). Each core.Request
+	// object is given its slot ID once, when allocHW first creates it.
+	reqs []*request
 	// hwFree recycles controller-side request objects: one is live per
 	// in-flight request, so completions feed enqueues without allocating.
 	hwFree []*core.Request
 }
 
 func newHWBackend(cfg Config) *hwBackend {
-	ctrl := core.DefaultController()
-	b := &hwBackend{ctrl: ctrl, reqs: make(map[core.ReqID]*request)}
-	return b
+	return &hwBackend{ctrl: core.DefaultController()}
 }
 
 func (b *hwBackend) addVM(vmIdx int, isPrimary bool, mask core.HarvestMask) {
@@ -116,11 +116,10 @@ func (b *hwBackend) bindCore(coreID, vmIdx int) {
 }
 
 func (b *hwBackend) enqueue(r *request) (wakeInfo, bool) {
-	b.next++
 	hw := b.allocHW()
-	*hw = core.Request{ID: b.next, VM: core.VMID(r.vmIdx), PayloadAddr: uint64(r.id) << 6}
+	*hw = core.Request{ID: hw.ID, VM: core.VMID(r.vmIdx), PayloadAddr: uint64(r.id) << 6}
 	r.hw = hw
-	b.reqs[r.hw.ID] = r
+	b.reqs[hw.ID] = r
 	_, wake, err := b.ctrl.Enqueue(core.VMID(r.vmIdx), r.hw)
 	if err != nil {
 		panic(err)
@@ -134,7 +133,8 @@ func (b *hwBackend) allocHW() *core.Request {
 		b.hwFree = b.hwFree[:n-1]
 		return hw
 	}
-	return new(core.Request)
+	b.reqs = append(b.reqs, nil)
+	return &core.Request{ID: core.ReqID(len(b.reqs) - 1)}
 }
 
 func toWake(w core.WakeDecision) (wakeInfo, bool) {
@@ -163,7 +163,7 @@ func (b *hwBackend) complete(coreID int, r *request) {
 	if err := b.ctrl.Complete(core.CoreID(coreID), r.hw); err != nil {
 		panic(err)
 	}
-	delete(b.reqs, r.hw.ID)
+	b.reqs[r.hw.ID] = nil
 	b.hwFree = append(b.hwFree, r.hw)
 	r.hw = nil
 }

@@ -1,5 +1,7 @@
 package core
 
+import "slices"
+
 // QueueManager is the hardware unit in charge of one VM's request subqueue
 // (Figure 9). It holds the RQ-Map, the VM State Register Set, the
 // HarvestMask, and per-VM loan bookkeeping for Primary VMs.
@@ -20,7 +22,13 @@ type QueueManager struct {
 	// overflow is the software In-memory Overflow Subqueue (§4.1.7), FIFO.
 	overflow reqRing
 
-	boundCores map[CoreID]bool
+	// boundCores lists the cores whose MyManager register names this QM,
+	// in ascending ID order.
+	boundCores []CoreID
+	// ready counts the Ready requests in queue and overflow. It changes on
+	// exactly the status transitions into and out of StatusReady: enqueue,
+	// requeueFront and unblock add one, dequeue takes one away.
+	ready int
 
 	// Stats.
 	enqueues         uint64
@@ -30,12 +38,13 @@ type QueueManager struct {
 }
 
 func newQueueManager(vm VMID, isPrimary bool, maxChunks int) *QueueManager {
-	return &QueueManager{
-		vm:         vm,
-		isPrimary:  isPrimary,
-		rqMap:      NewRQMap(maxChunks),
-		boundCores: make(map[CoreID]bool),
-	}
+	return &QueueManager{vm: vm, isPrimary: isPrimary, rqMap: NewRQMap(maxChunks)}
+}
+
+// bindCore adds core to the bound cores, keeping them in ascending order.
+func (q *QueueManager) bindCore(core CoreID) {
+	i, _ := slices.BinarySearch(q.boundCores, core)
+	q.boundCores = slices.Insert(q.boundCores, i, core)
 }
 
 // VM reports the VM this QM serves.
@@ -93,6 +102,7 @@ func (q *QueueManager) setCapacityFromChunks(chunkEntries int) (spilled int) {
 func (q *QueueManager) enqueue(r *Request) (toOverflow bool) {
 	q.enqueues++
 	r.Status = StatusReady
+	q.ready++
 	if q.queue.Len() < q.capacity {
 		r.InOverflow = false
 		q.queue.PushBack(r)
@@ -112,6 +122,7 @@ func (q *QueueManager) enqueue(r *Request) (toOverflow bool) {
 // the queue and taken by another core).
 func (q *QueueManager) requeueFront(r *Request) {
 	r.Status = StatusReady
+	q.ready++
 	r.InOverflow = false
 	q.queue.PushFront(r)
 	// requeueFront is used for preempted work whose slot was just vacated,
@@ -145,9 +156,13 @@ func (q *QueueManager) preempt(r *Request) bool {
 // slot remains occupied until completion or preemption. Returns nil if no
 // Ready request exists.
 func (q *QueueManager) dequeue() *Request {
+	if q.ready == 0 {
+		return nil
+	}
 	for i := 0; i < q.queue.Len(); i++ {
 		if r := q.queue.At(i); r.Status == StatusReady {
 			r.Status = StatusRunning
+			q.ready--
 			q.dequeues++
 			return r
 		}
@@ -156,35 +171,10 @@ func (q *QueueManager) dequeue() *Request {
 }
 
 // hasReady reports whether a Ready request is queued (hardware or overflow).
-func (q *QueueManager) hasReady() bool {
-	for i := 0; i < q.queue.Len(); i++ {
-		if q.queue.At(i).Status == StatusReady {
-			return true
-		}
-	}
-	for i := 0; i < q.overflow.Len(); i++ {
-		if q.overflow.At(i).Status == StatusReady {
-			return true
-		}
-	}
-	return false
-}
+func (q *QueueManager) hasReady() bool { return q.ready > 0 }
 
-// ReadyLen counts Ready requests in hardware and overflow.
-func (q *QueueManager) ReadyLen() int {
-	n := 0
-	for i := 0; i < q.queue.Len(); i++ {
-		if q.queue.At(i).Status == StatusReady {
-			n++
-		}
-	}
-	for i := 0; i < q.overflow.Len(); i++ {
-		if q.overflow.At(i).Status == StatusReady {
-			n++
-		}
-	}
-	return n
-}
+// ReadyLen reports the Ready requests in hardware and overflow.
+func (q *QueueManager) ReadyLen() int { return q.ready }
 
 // complete removes a finished request's slot and refills from overflow.
 func (q *QueueManager) complete(r *Request) bool {
@@ -221,6 +211,7 @@ func (q *QueueManager) unblock(r *Request) bool {
 		return false
 	}
 	r.Status = StatusReady
+	q.ready++
 	return true
 }
 
