@@ -541,3 +541,143 @@ func TestStatusAndStateStrings(t *testing.T) {
 		t.Fatal("unknown enum strings")
 	}
 }
+
+func TestWakeOrderFollowsCoreIDNotBindOrder(t *testing.T) {
+	c := DefaultController()
+	if err := c.AddVM(1, true, HarvestMask{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, core := range []CoreID{9, 2, 5} {
+		if err := c.BindCore(core, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, want := range []CoreID{2, 5, 9} {
+		_, wake, err := c.Enqueue(1, req(ReqID(i), 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !wake.Valid || wake.Preempt || wake.Core != want {
+			t.Fatalf("enqueue %d woke %+v, want core %d", i, wake, want)
+		}
+	}
+	// Every bound core has a wake in flight: a fourth enqueue wakes nobody.
+	if _, wake, _ := c.Enqueue(1, req(3, 1)); wake.Valid {
+		t.Fatalf("fourth enqueue woke %+v", wake)
+	}
+}
+
+func TestBadIDsReturnErrors(t *testing.T) {
+	c := newTestController(t)
+	r := req(1, 1)
+	if _, _, err := c.Enqueue(1, r); err != nil {
+		t.Fatal(err)
+	}
+	if got, _, _, err := c.Dequeue(0, false); err != nil || got != r {
+		t.Fatalf("dequeue = %v, %v", got, err)
+	}
+	for _, vm := range []VMID{-1, 3, 1 << 20} {
+		if err := c.BindCore(5, vm); !errors.Is(err, ErrUnknownVM) {
+			t.Errorf("BindCore(5, %d) err = %v, want ErrUnknownVM", vm, err)
+		}
+		if err := c.RemoveVM(vm); !errors.Is(err, ErrUnknownVM) {
+			t.Errorf("RemoveVM(%d) err = %v, want ErrUnknownVM", vm, err)
+		}
+		if _, _, err := c.Enqueue(vm, req(9, vm)); !errors.Is(err, ErrUnknownVM) {
+			t.Errorf("Enqueue(%d) err = %v, want ErrUnknownVM", vm, err)
+		}
+		if c.QM(vm) != nil || c.LoanedCores(vm) != 0 {
+			t.Errorf("VM %d reads as registered", vm)
+		}
+	}
+	if err := c.AddVM(-1, true, HarvestMask{}); !errors.Is(err, ErrUnknownVM) {
+		t.Errorf("AddVM(-1) err = %v, want ErrUnknownVM", err)
+	}
+	if err := c.BindCore(-1, 1); !errors.Is(err, ErrUnknownCore) {
+		t.Errorf("BindCore(-1) err = %v, want ErrUnknownCore", err)
+	}
+	for _, core := range []CoreID{-1, 4, 1 << 20} {
+		wantRun := ErrBadTransition // a never-bound core runs nothing
+		if core < 0 {
+			wantRun = ErrUnknownCore
+		}
+		if _, _, _, err := c.Dequeue(core, true); !errors.Is(err, ErrUnknownCore) {
+			t.Errorf("Dequeue(%d) err = %v, want ErrUnknownCore", core, err)
+		}
+		if err := c.Complete(core, r); !errors.Is(err, wantRun) {
+			t.Errorf("Complete(%d) err = %v, want %v", core, err, wantRun)
+		}
+		if err := c.Block(core, r); !errors.Is(err, wantRun) {
+			t.Errorf("Block(%d) err = %v, want %v", core, err, wantRun)
+		}
+		if _, err := c.PreemptCore(core); !errors.Is(err, wantRun) {
+			t.Errorf("PreemptCore(%d) err = %v, want %v", core, err, wantRun)
+		}
+		if vm, ok := c.Binding(core); ok || vm != 0 {
+			t.Errorf("Binding(%d) = %d, %v", core, vm, ok)
+		}
+		if vm, ok := c.LastVM(core); ok || vm != 0 {
+			t.Errorf("LastVM(%d) = %d, %v", core, vm, ok)
+		}
+		if got, vm := c.Running(core); got != nil || vm != 0 {
+			t.Errorf("Running(%d) = %v, %d", core, got, vm)
+		}
+		if c.State(core) != CoreIdle {
+			t.Errorf("State(%d) = %v", core, c.State(core))
+		}
+	}
+	// None of the rejected calls disturbed the running request.
+	if err := c.Complete(0, r); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestRemoveVMUnbindsItsCores(t *testing.T) {
+	c := newTestController(t)
+	r := req(1, 2)
+	if _, _, err := c.Enqueue(2, r); err != nil {
+		t.Fatal(err)
+	}
+	if got, _, _, err := c.Dequeue(8, false); err != nil || got != r {
+		t.Fatalf("dequeue = %v, %v", got, err)
+	}
+	if err := c.RemoveVM(2); err != nil {
+		t.Fatal(err)
+	}
+	for _, core := range []CoreID{8, 9} {
+		if vm, ok := c.Binding(core); ok {
+			t.Fatalf("core %d still bound to VM %d", core, vm)
+		}
+		if got, _ := c.Running(core); got != nil {
+			t.Fatalf("core %d still runs %v", core, got)
+		}
+		if _, ok := c.LastVM(core); ok {
+			t.Fatalf("core %d keeps a last VM", core)
+		}
+		if _, _, _, err := c.Dequeue(core, false); !errors.Is(err, ErrUnknownCore) {
+			t.Fatalf("dequeue on removed VM's core %d err = %v", core, err)
+		}
+	}
+	// The primary VM's cores are untouched.
+	if vm, ok := c.Binding(0); !ok || vm != 1 {
+		t.Fatalf("core 0 binding = %d, %v", vm, ok)
+	}
+	if err := c.AddVM(3, false, HarvestMask{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, core := range []CoreID{9, 8} {
+		if err := c.BindCore(core, 3); err != nil {
+			t.Fatalf("rebind core %d: %v", core, err)
+		}
+	}
+	if c.QM(3).BoundCores() != 2 {
+		t.Fatalf("VM 3 has %d cores", c.QM(3).BoundCores())
+	}
+	_, wake, err := c.Enqueue(3, req(2, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !wake.Valid || wake.Core != 8 {
+		t.Fatalf("wake = %+v, want core 8", wake)
+	}
+}

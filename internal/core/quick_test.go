@@ -194,6 +194,18 @@ func (m *model) invariants() bool {
 			return false
 		}
 	}
+	// The ready count matches a scan of both rings.
+	for _, vm := range []VMID{1, 2} {
+		qm := m.ctrl.QM(vm)
+		if got, want := qm.ReadyLen(), scanReady(qm); got != want {
+			m.t.Logf("VM %d ReadyLen %d, %d Ready requests queued", vm, got, want)
+			return false
+		}
+		if qm.hasReady() != (scanReady(qm) > 0) {
+			m.t.Logf("VM %d hasReady disagrees with its queue", vm)
+			return false
+		}
+	}
 	// Controller request counts match the model.
 	inCtrl := 0
 	for _, vm := range []VMID{1, 2} {
@@ -217,9 +229,22 @@ func (m *model) invariants() bool {
 	return true
 }
 
+// scanReady counts the Ready requests in q's hardware and overflow rings.
+func scanReady(q *QueueManager) int {
+	n := 0
+	for _, ring := range []*reqRing{&q.queue, &q.overflow} {
+		for i := 0; i < ring.Len(); i++ {
+			if ring.At(i).Status == StatusReady {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // TestControllerRandomOpsProperty drives long random op sequences and
-// checks conservation, isolation, capacity, and overflow-promotion
-// invariants after every step.
+// checks conservation, isolation, capacity, overflow-promotion and
+// ready-count invariants after every step.
 func TestControllerRandomOpsProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		return exercise(t, seed, 400)
