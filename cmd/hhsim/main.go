@@ -12,6 +12,8 @@
 //	hhsim -exp fig6 -counters         # harvest-event counters + latency hist
 //	hhsim -all -cpuprofile cpu.pprof  # pprof CPU profile of the whole run
 //	hhsim -all -memprofile mem.pprof  # pprof allocation profile
+//	hhsim run -cpuprofile cpu.pprof scenarios/socialnet-dag.yaml
+//	                                  # the same profiles of one scenario
 //	hhsim -exp fig11 -faults examples/faultplan.json -resilience
 //	                                  # inject a fault plan + default
 //	                                  # timeout/retry/hedge/shed policies
@@ -38,8 +40,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"sort"
 	"strings"
 	"sync"
@@ -171,38 +171,17 @@ func main() {
 	}
 	experiments.SetParallelism(*parallel)
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
-	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			// An explicit GC makes the heap profile reflect live data and
-			// complete allocation counts, not a mid-cycle snapshot.
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			f.Close()
-		}()
-	}
+	}()
 
 	if *list {
 		for _, r := range experiments.Runners() {

@@ -383,3 +383,45 @@ func TestScenarioCLIRouted(t *testing.T) {
 		t.Errorf("perturb on validate: exit %d, want 2 (stderr %q)", code, stderr)
 	}
 }
+
+// TestProfileFlags: -cpuprofile and -memprofile write non-empty pprof files
+// for the batch path and for `hhsim run`, and leave standard output byte for
+// byte the same as a run without them.
+func TestProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	scen := filepath.Join(dir, "s.yaml")
+	if err := os.WriteFile(scen, []byte(cliScenario), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cpu := filepath.Join(dir, "cpu.pprof")
+	mem := filepath.Join(dir, "mem.pprof")
+	profFlags := []string{"-cpuprofile", cpu, "-memprofile", mem}
+	cases := []struct{ plain, profiled []string }{
+		{[]string{"-exp", "table1"}, append([]string{"-exp", "table1"}, profFlags...)},
+		{[]string{"run", scen}, append(append([]string{"run"}, profFlags...), scen)},
+	}
+	for _, c := range cases {
+		os.Remove(cpu)
+		os.Remove(mem)
+		plain, stderr, code := hhsim(t, c.plain...)
+		if code != 0 {
+			t.Fatalf("%v: exit %d, stderr: %s", c.plain, code, stderr)
+		}
+		out, stderr, code := hhsim(t, c.profiled...)
+		if code != 0 {
+			t.Fatalf("%v: exit %d, stderr: %s", c.profiled, code, stderr)
+		}
+		if out != plain {
+			t.Errorf("%v: stdout changed with profiling on:\n%s\nwithout:\n%s", c.profiled, out, plain)
+		}
+		for _, p := range []string{cpu, mem} {
+			if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {
+				t.Errorf("%v: profile %s missing or empty (%v)", c.profiled, p, err)
+			}
+		}
+	}
+	if _, stderr, code := hhsim(t, "validate", "-cpuprofile", filepath.Join(dir, "v.pprof"), scen); code != 2 ||
+		!strings.Contains(stderr, "only apply to run") {
+		t.Errorf("validate -cpuprofile: exit %d, stderr %q", code, stderr)
+	}
+}

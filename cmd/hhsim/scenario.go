@@ -27,9 +27,11 @@ func scenarioMain(cmd string, args []string) int {
 		"corrupt a ledger to prove an oracle has teeth (fields: fleet-conservation, graph-mc)")
 	strict := fs.Bool("strict", false,
 		"panic on the first invariant violation with replay info (instead of counting violations)")
+	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
+	memProfile := fs.String("memprofile", "", "write a pprof allocation profile at exit to this file")
 	fs.Usage = func() {
 		if cmd == "run" {
-			fmt.Fprintf(os.Stderr, "usage: hhsim run [-shards n] [-strict] [-perturb fleet-conservation|graph-mc] <scenario.(yaml|json)>\n")
+			fmt.Fprintf(os.Stderr, "usage: hhsim run [-shards n] [-strict] [-perturb fleet-conservation|graph-mc] [-cpuprofile f] [-memprofile f] <scenario.(yaml|json)>\n")
 			fmt.Fprintf(os.Stderr, "  runs one fleet scenario and prints its summary; exit 1 if assertions fail\n")
 		} else {
 			fmt.Fprintf(os.Stderr, "usage: hhsim validate <scenario.(yaml|json)>...\n")
@@ -55,6 +57,10 @@ func scenarioMain(cmd string, args []string) int {
 			fmt.Fprintln(os.Stderr, "-strict only applies to run")
 			return 2
 		}
+		if *cpuProfile != "" || *memProfile != "" {
+			fmt.Fprintln(os.Stderr, "-cpuprofile and -memprofile only apply to run")
+			return 2
+		}
 		rc := 0
 		for _, path := range files {
 			sc, err := scenario.Load(path)
@@ -73,13 +79,29 @@ func scenarioMain(cmd string, args []string) int {
 		fs.Usage()
 		return 2
 	}
-	sc, err := scenario.Load(files[0])
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
+	}
+	rc := runScenario(files[0], *shards, *strict, *perturb)
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
+	}
+	return rc
+}
+
+// runScenario loads, runs and summarises one scenario for `hhsim run`,
+// returning its exit code.
+func runScenario(path string, shards int, strict bool, perturb string) int {
+	sc, err := scenario.Load(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	sc.Strict = *strict
-	switch *perturb {
+	sc.Strict = strict
+	switch perturb {
 	case "":
 	case "fleet-conservation":
 		if sc.Routing == nil {
@@ -94,10 +116,10 @@ func scenarioMain(cmd string, args []string) int {
 		}
 		sc.PerturbGraphMC = true
 	default:
-		fmt.Fprintf(os.Stderr, "unknown -perturb field %q (fields: fleet-conservation, graph-mc)\n", *perturb)
+		fmt.Fprintf(os.Stderr, "unknown -perturb field %q (fields: fleet-conservation, graph-mc)\n", perturb)
 		return 2
 	}
-	rep, err := sc.RunShards(*shards)
+	rep, err := sc.RunShards(shards)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1

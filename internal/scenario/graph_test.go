@@ -180,10 +180,10 @@ func TestGraphDiagnostics(t *testing.T) {
 			msg:    `unknown fleet group "wbe"`,
 		},
 		{
-			name:   "missing tier group",
-			doc:    edit("      group: web\n", ""),
-			field:  "graph.tiers[0].group",
-			msg:    "required (each tier is served by a fleet group)",
+			name:  "missing tier group",
+			doc:   edit("      group: web\n", ""),
+			field: "graph.tiers[0].group",
+			msg:   "required (each tier is served by a fleet group)",
 		},
 		{
 			name:   "vm out of range",
@@ -215,8 +215,8 @@ func TestGraphDiagnostics(t *testing.T) {
 			msg:    `tier "leafy" is unreachable from root tier "fe"`,
 		},
 		{
-			name: "routing and graph exclusive",
-			doc: edit("fleet:", "routing:\n  policy: round_robin\nfleet:"),
+			name:  "routing and graph exclusive",
+			doc:   edit("fleet:", "routing:\n  policy: round_robin\nfleet:"),
 			field: "graph",
 			msg:   "graph and routing are mutually exclusive",
 		},

@@ -43,11 +43,11 @@ type ArtifactParams struct {
 // already fixed-precision strings (ms/pct/ratio formatters), so storing
 // them as rendered keeps the artifact human-diffable.
 type TableGold struct {
-	ID      string     `json:"id"`
-	Title   string     `json:"title"`
-	Columns []string   `json:"columns"`
-	Rows    []RowGold  `json:"rows"`
-	Notes   []string   `json:"notes,omitempty"`
+	ID      string    `json:"id"`
+	Title   string    `json:"title"`
+	Columns []string  `json:"columns"`
+	Rows    []RowGold `json:"rows"`
+	Notes   []string  `json:"notes,omitempty"`
 }
 
 // RowGold is one table row.
@@ -58,11 +58,11 @@ type RowGold struct {
 
 // SystemGold is one architecture's scalar summary.
 type SystemGold struct {
-	System      string        `json:"system"`
-	Requests    int64         `json:"requests"`
-	Arrivals    int64         `json:"arrivals"`
-	Reassigns   int64         `json:"reassigns"`
-	HarvestJobs int64         `json:"harvest_jobs"`
+	System      string `json:"system"`
+	Requests    int64  `json:"requests"`
+	Arrivals    int64  `json:"arrivals"`
+	Reassigns   int64  `json:"reassigns"`
+	HarvestJobs int64  `json:"harvest_jobs"`
 	// BusyCoresMilli is mean busy cores × 1000, rounded: integral, so the
 	// artifact stays float-free and byte-stable.
 	BusyCoresMilli int64         `json:"busy_cores_milli"`
