@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"net"
@@ -8,6 +9,7 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
+	"time"
 
 	"hardharvest/internal/serve"
 )
@@ -121,7 +123,14 @@ func serveMain(args []string) {
 		runner.Shutdown()
 	}
 	<-loopDone
-	hs.Close()
+	// Shutdown, not Close: the POST /api/shutdown that got us here is still
+	// writing its response, and Close would cut it off (the client sees
+	// EOF). The deadline bounds how long a stuck client can hold the exit.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	if err := hs.Shutdown(ctx); err != nil {
+		hs.Close()
+	}
+	cancel()
 	if logW != nil {
 		logW.Sync()
 	}
