@@ -60,7 +60,9 @@ type Request struct {
 	ID          ReqID
 	VM          VMID
 	PayloadAddr uint64
-	Status      ReqStatus
+	// Status is written only by the controller's Queue Managers, which
+	// count their Ready requests by it; callers read it but do not set it.
+	Status ReqStatus
 	// InOverflow marks requests currently stored in the VM's software
 	// in-memory overflow subqueue rather than the hardware RQ.
 	InOverflow bool
