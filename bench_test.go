@@ -222,6 +222,27 @@ func BenchmarkServerSimulation(b *testing.B) {
 	}
 }
 
+// BenchmarkServerSoftware is BenchmarkServerSimulation on the software
+// Harvest-Block system: per-VM software queues, pinned arrivals and
+// hypervisor core moves instead of the hardware controller. Its allocs/op
+// pin the software-harvesting server path.
+func BenchmarkServerSoftware(b *testing.B) {
+	cfg := hardharvest.DefaultConfig()
+	cfg.MeasureDuration = 50 * hardharvest.Millisecond
+	cfg.WarmupDuration = 10 * hardharvest.Millisecond
+	work, _ := hardharvest.WorkloadByName("BFS")
+	opts := hardharvest.SystemOptions(hardharvest.HarvestBlock)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cfg.Seed = uint64(i + 1)
+		r := hardharvest.RunServer(cfg, opts, work)
+		if r.Requests == 0 {
+			b.Fatal("no requests simulated")
+		}
+	}
+}
+
 // BenchmarkServerNilObserver is BenchmarkServerSimulation with the observer
 // field explicitly nil; compare the two to confirm the hook sites cost
 // nothing when observability is off (the contract is <2% and 0 allocs

@@ -33,12 +33,13 @@ CHECK=0
 # ns-gated: end-to-end hot paths (the server loop carries the always-on
 # invariant checker; the sharded path carries the fleet runner). The
 # allocation pins cover one benchmark per layer: controller
-# (BenchmarkControllerCycle), engine, server, shard group, router
-# (BenchmarkRoutedFleet), DAG dispatcher (BenchmarkGraphDispatch), and
-# scenario runner (BenchmarkScenarioRun, one sub-benchmark per scenarios/
-# file).
+# (BenchmarkControllerCycle), engine, server (hardware and, through
+# BenchmarkServerSoftware, software harvesting), shard group, router
+# (BenchmarkRoutedFleet), DAG dispatcher (BenchmarkGraphDispatch), scenario
+# runner (BenchmarkScenarioRun, one sub-benchmark per scenarios/ file), and
+# the live serve runner (BenchmarkServeStep).
 NS_GATED_RE='BenchmarkServerSimulation$'
-OTHER_RE='BenchmarkControllerCycle$|BenchmarkServerNilObserver|BenchmarkEngineScheduleCall$|BenchmarkEngineScheduleClosure|BenchmarkEngineHeapChurn|BenchmarkShardedVsSerial|BenchmarkRoutedFleet$|BenchmarkGraphDispatch$|BenchmarkScenarioRun$'
+OTHER_RE='BenchmarkControllerCycle$|BenchmarkServerNilObserver|BenchmarkEngineScheduleCall$|BenchmarkEngineScheduleClosure|BenchmarkEngineHeapChurn|BenchmarkShardedVsSerial|BenchmarkRoutedFleet$|BenchmarkGraphDispatch$|BenchmarkScenarioRun$|BenchmarkServerSoftware$|BenchmarkServeStep$'
 OUT=$(mktemp)
 trap 'rm -f "$OUT"' EXIT
 
