@@ -201,15 +201,15 @@ func (b *hwBackend) readyLen(vmIdx int) int {
 }
 
 // swBackend is the software path: per-VM FIFO queues in memory. Blocked
-// requests live off-queue; unblocked requests rejoin at the head (they are
-// older than anything queued behind them).
+// requests live off-queue; unblocked and preempted requests rejoin at the
+// head (they are older than anything queued behind them).
 type swBackend struct {
-	queues  [][]*request
+	queues  []reqDeque
 	binding []int // coreID -> vmIdx
 }
 
 func newSWBackend(numVMs, numCores int) *swBackend {
-	b := &swBackend{queues: make([][]*request, numVMs), binding: make([]int, numCores)}
+	b := &swBackend{queues: make([]reqDeque, numVMs), binding: make([]int, numCores)}
 	for i := range b.binding {
 		b.binding[i] = -1
 	}
@@ -219,7 +219,7 @@ func newSWBackend(numVMs, numCores int) *swBackend {
 func (b *swBackend) bindCore(coreID, vmIdx int) { b.binding[coreID] = vmIdx }
 
 func (b *swBackend) enqueue(r *request) (wakeInfo, bool) {
-	b.queues[r.vmIdx] = append(b.queues[r.vmIdx], r)
+	b.queues[r.vmIdx].PushBack(r)
 	// Software systems have no hardware notification: the server layer
 	// implements polling discovery.
 	return wakeInfo{}, false
@@ -233,15 +233,7 @@ func (b *swBackend) dequeue(coreID int, allowLoan bool) (*request, bool) {
 	return b.pop(vm), false
 }
 
-func (b *swBackend) pop(vmIdx int) *request {
-	q := b.queues[vmIdx]
-	if len(q) == 0 {
-		return nil
-	}
-	r := q[0]
-	b.queues[vmIdx] = q[1:]
-	return r
-}
+func (b *swBackend) pop(vmIdx int) *request { return b.queues[vmIdx].PopFront() }
 
 func (b *swBackend) dequeueFrom(vmIdx, coreID int) *request {
 	return b.pop(vmIdx)
@@ -253,12 +245,70 @@ func (b *swBackend) block(coreID int, r *request) {}
 
 func (b *swBackend) unblock(r *request) (wakeInfo, bool) {
 	// Rejoin at the head: the request is older than queued work.
-	b.queues[r.vmIdx] = append([]*request{r}, b.queues[r.vmIdx]...)
+	b.queues[r.vmIdx].PushFront(r)
 	return wakeInfo{}, false
 }
 
 func (b *swBackend) preempt(coreID int, r *request) {
-	b.queues[r.vmIdx] = append([]*request{r}, b.queues[r.vmIdx]...)
+	b.queues[r.vmIdx].PushFront(r)
 }
 
-func (b *swBackend) readyLen(vmIdx int) int { return len(b.queues[vmIdx]) }
+func (b *swBackend) readyLen(vmIdx int) int { return b.queues[vmIdx].Len() }
+
+// reqDeque is one software queue: a growable power-of-two ring of requests.
+// Unblocked and preempted requests return to the head, and a slice prepend
+// would copy the whole queue into a fresh array on every such call; the
+// ring pushes at either end and pops the head without allocating once it
+// has grown to the queue's working size. It is core.reqRing's shape, kept
+// to the four operations the software path needs.
+type reqDeque struct {
+	buf  []*request // len(buf) is zero or a power of two
+	head int        // index of the front element
+	n    int        // queued requests
+}
+
+// Len reports the number of queued requests.
+func (d *reqDeque) Len() int { return d.n }
+
+func (d *reqDeque) grow() {
+	c := 2 * len(d.buf)
+	if c == 0 {
+		c = 16
+	}
+	nb := make([]*request, c)
+	for i := 0; i < d.n; i++ {
+		nb[i] = d.buf[(d.head+i)&(len(d.buf)-1)]
+	}
+	d.buf, d.head = nb, 0
+}
+
+// PushBack appends r at the tail.
+func (d *reqDeque) PushBack(r *request) {
+	if d.n == len(d.buf) {
+		d.grow()
+	}
+	d.buf[(d.head+d.n)&(len(d.buf)-1)] = r
+	d.n++
+}
+
+// PushFront inserts r at the head.
+func (d *reqDeque) PushFront(r *request) {
+	if d.n == len(d.buf) {
+		d.grow()
+	}
+	d.head = (d.head - 1) & (len(d.buf) - 1)
+	d.buf[d.head] = r
+	d.n++
+}
+
+// PopFront removes and returns the head, or nil when the queue is empty.
+func (d *reqDeque) PopFront() *request {
+	if d.n == 0 {
+		return nil
+	}
+	r := d.buf[d.head]
+	d.buf[d.head] = nil
+	d.head = (d.head + 1) & (len(d.buf) - 1)
+	d.n--
+	return r
+}

@@ -183,6 +183,7 @@ var opNames = [...]string{
 	"arrival-ready", "run-burst", "burst-end", "io-complete", "io-ready",
 	"preempt", "agent-sample", "agent-tick", "lend-end", "reclaim-end",
 	"fault-begin", "fault-end", "call-timeout", "call-retry", "call-hedge",
+	"pin-release",
 }
 
 func opName(op int32) string {

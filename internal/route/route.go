@@ -134,7 +134,10 @@ type crashMsg struct {
 }
 
 // pendingReq is the router's view of one logical request from generation
-// to resolution (completed, shed, or lost).
+// to resolution (completed, shed, or lost). The router recycles it through
+// a free list once it is resolved and no attempt of it is outstanding (see
+// release): an attempt stranded by failover keeps pointing at its request
+// until its zombie reply arrives.
 type pendingReq struct {
 	vm       int
 	born     sim.Time
@@ -167,6 +170,9 @@ type Router struct {
 
 	rr       uint64
 	eligible []int
+
+	// freeReqs recycles released requests, last in first out.
+	freeReqs []*pendingReq
 
 	// Fleet counters (see Result for meanings).
 	generated         uint64
@@ -262,13 +268,34 @@ func (rt *Router) OnEvent(op int32, a, b any) {
 // no eligible backend the request is lost at the door.
 func (rt *Router) admit(g *front.Gen) {
 	rt.generated++
-	req := &pendingReq{vm: g.VM, born: rt.Now(), measured: rt.Measuring()}
+	req := rt.newReq()
+	*req = pendingReq{vm: g.VM, born: rt.Now(), measured: rt.Measuring()}
 	if rt.dispatch(req) {
 		rt.initialDispatches++
 	} else {
 		req.resolved = true
 		rt.lostAtAdmit++
 		rt.lost++
+		rt.release(req)
+	}
+}
+
+// newReq takes a request from the free list, or allocates one.
+func (rt *Router) newReq() *pendingReq {
+	if n := len(rt.freeReqs); n > 0 {
+		req := rt.freeReqs[n-1]
+		rt.freeReqs = rt.freeReqs[:n-1]
+		return req
+	}
+	return &pendingReq{}
+}
+
+// release returns req to the free list once it is resolved and no attempt
+// of it is outstanding. A request resolved while a stranded attempt is
+// still out stays live until that attempt's zombie reply releases it.
+func (rt *Router) release(req *pendingReq) {
+	if req.resolved && req.outstanding == 0 {
+		rt.freeReqs = append(rt.freeReqs, req)
 	}
 }
 
@@ -294,6 +321,7 @@ func (rt *Router) dispatch(req *pendingReq) bool {
 func (rt *Router) onReply(id uint64, rec attemptRec, shed bool) {
 	req := rec.req
 	req.outstanding--
+	defer rt.release(req)
 	b := rt.backends[rec.backend]
 	live := !req.resolved && req.cur == id
 	if shed {
@@ -354,6 +382,8 @@ func (rt *Router) failoverActive(b *backendRT) {
 			rt.failovers++
 			b.failoversOut++
 		} else {
+			// Lost, but not released: the stranded attempt is still
+			// outstanding, and its zombie reply releases the request.
 			req.resolved = true
 			rt.lost++
 			b.lost++
