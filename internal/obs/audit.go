@@ -122,6 +122,9 @@ func (a *Audit) Observe(ev Event) {
 	}
 }
 
+// Kinds implements Selective: every kind the audit reads is also counted.
+func (a *Audit) Kinds() KindSet { return countedKinds }
+
 // Finish closes the audit at the given simulated time (the accounted end
 // of the run): the open N(t) interval is integrated up to end and the
 // residual sojourn of still-unresolved requests is computed. Accessors

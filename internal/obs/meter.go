@@ -30,6 +30,10 @@ func (m *Meter) Observe(ev Event) {
 	}
 }
 
+// Kinds implements Selective: the meter reads only the counted kinds (the
+// histogram's completions among them).
+func (m *Meter) Kinds() KindSet { return countedKinds }
+
 // SetTopology implements TopologyObserver.
 func (m *Meter) SetTopology(t Topology) { m.topo = t }
 

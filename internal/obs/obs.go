@@ -136,6 +136,43 @@ type Observer interface {
 	Observe(ev Event)
 }
 
+// KindSet is a set of event kinds, one bit per Kind.
+type KindSet uint32
+
+// AllKinds holds every kind.
+const AllKinds KindSet = 1<<numKinds - 1
+
+// KindSetOf returns the set holding exactly the given kinds.
+func KindSetOf(kinds ...Kind) KindSet {
+	var s KindSet
+	for _, k := range kinds {
+		s |= 1 << k
+	}
+	return s
+}
+
+// Has reports whether k is in the set.
+func (s KindSet) Has(k Kind) bool { return s&(1<<k) != 0 }
+
+// Selective is implemented by observers that read only some event kinds.
+// The simulator may skip building and delivering the others; an observer
+// must leave its state untouched for every kind outside Kinds.
+type Selective interface {
+	Kinds() KindSet
+}
+
+// KindsOf reports the kinds o reads: Kinds for a Selective observer, none
+// for nil, and every kind otherwise.
+func KindsOf(o Observer) KindSet {
+	switch o := o.(type) {
+	case nil:
+		return 0
+	case Selective:
+		return o.Kinds()
+	}
+	return AllKinds
+}
+
 // VMInfo describes one VM of a server's topology.
 type VMInfo struct {
 	Idx     int
@@ -203,6 +240,15 @@ func Multi(observers ...Observer) Observer {
 		return live[0]
 	}
 	return &multi{obs: live}
+}
+
+// Kinds reports the union of the members' kinds (Selective).
+func (m *multi) Kinds() KindSet {
+	var s KindSet
+	for _, o := range m.obs {
+		s |= KindsOf(o)
+	}
+	return s
 }
 
 func (m *multi) Observe(ev Event) {

@@ -34,6 +34,9 @@ func (s *Sampler) Run() string { return s.run }
 // Observe implements Observer; the sampler ignores individual events.
 func (s *Sampler) Observe(Event) {}
 
+// Kinds implements Selective: a sampler reads snapshots, not events.
+func (s *Sampler) Kinds() KindSet { return 0 }
+
 // SetTopology receives the server shape (used for VM names in exports).
 func (s *Sampler) SetTopology(t Topology) { s.topo = t }
 

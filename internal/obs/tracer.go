@@ -116,9 +116,16 @@ func (c *Counters) Add(o *Counters) {
 	c.DeadlineMisses += o.DeadlineMisses
 }
 
+// countedKinds holds the kinds Count reads; every other kind leaves the
+// counters unchanged.
+var countedKinds = KindSetOf(KindArrival, KindEnqueue, KindDispatch,
+	KindFlushStart, KindBlock, KindUnblock, KindComplete, KindPreempt,
+	KindAbort, KindPin, KindLendStart, KindReclaimStart, KindFault, KindShed,
+	KindRetry, KindHedge, KindHedgeWin, KindDeadlineMiss)
+
 // Count folds one event into the counters. It is the single place event
 // kinds map to counter fields; SpanTracer and Audit both delegate here so
-// their counts can never disagree.
+// their counts can never disagree. It reads only countedKinds.
 func (c *Counters) Count(ev Event) {
 	switch ev.Kind {
 	case KindArrival:
