@@ -26,10 +26,15 @@ type PromLabel struct {
 }
 
 // PromWriter accumulates one exposition document. Errors are sticky:
-// check Flush.
+// check Flush. Names, labels and numbers go straight to the buffered
+// writer, numbers through reused scratch buffers, so rendering a sample
+// builds no strings.
 type PromWriter struct {
 	w   *bufio.Writer
 	err error
+	// num and le are strconv.Append* scratch: a sample's value, and a
+	// histogram bucket's bound.
+	num, le []byte
 }
 
 // NewPromWriter returns a writer targeting w.
@@ -43,50 +48,105 @@ func (p *PromWriter) write(s string) {
 	}
 }
 
-// escapeLabel applies the exposition format's label-value escaping
-// (backslash, double quote, newline).
-func escapeLabel(v string) string {
-	if !strings.ContainsAny(v, `\"`+"\n") {
-		return v
+func (p *PromWriter) writeByte(c byte) {
+	if p.err == nil {
+		p.err = p.w.WriteByte(c)
 	}
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
+}
+
+func (p *PromWriter) writeBytes(b []byte) {
+	if p.err == nil {
+		_, p.err = p.w.Write(b)
+	}
+}
+
+// writeLabelValue writes v with the exposition format's label-value
+// escaping (backslash, double quote, newline).
+func (p *PromWriter) writeLabelValue(v string) {
+	for {
+		i := strings.IndexAny(v, `\"`+"\n")
+		if i < 0 {
+			p.write(v)
+			return
+		}
+		p.write(v[:i])
+		switch v[i] {
+		case '\\':
+			p.write(`\\`)
+		case '"':
+			p.write(`\"`)
+		default:
+			p.write(`\n`)
+		}
+		v = v[i+1:]
+	}
 }
 
 // Head writes the # HELP and # TYPE comments for a metric family. typ is
 // one of "counter", "gauge", "histogram".
 func (p *PromWriter) Head(name, help, typ string) {
-	p.write("# HELP " + name + " " + help + "\n")
-	p.write("# TYPE " + name + " " + typ + "\n")
+	p.write("# HELP ")
+	p.write(name)
+	p.writeByte(' ')
+	p.write(help)
+	p.write("\n# TYPE ")
+	p.write(name)
+	p.writeByte(' ')
+	p.write(typ)
+	p.writeByte('\n')
 }
 
-func (p *PromWriter) sampleName(name string, labels []PromLabel) {
+// sampleName writes name+suffix and the label set up to the value. The
+// labels are followed by an le label when le is non-nil (histogram buckets).
+func (p *PromWriter) sampleName(name, suffix string, labels []PromLabel, le []byte) {
 	p.write(name)
-	if len(labels) > 0 {
-		p.write("{")
+	p.write(suffix)
+	if len(labels) > 0 || le != nil {
+		p.writeByte('{')
 		for i, l := range labels {
 			if i > 0 {
-				p.write(",")
+				p.writeByte(',')
 			}
-			p.write(l.Key + `="` + escapeLabel(l.Value) + `"`)
+			p.write(l.Key)
+			p.write(`="`)
+			p.writeLabelValue(l.Value)
+			p.writeByte('"')
 		}
-		p.write("}")
+		if le != nil {
+			if len(labels) > 0 {
+				p.writeByte(',')
+			}
+			p.write(`le="`)
+			p.writeBytes(le)
+			p.writeByte('"')
+		}
+		p.writeByte('}')
 	}
-	p.write(" ")
+	p.writeByte(' ')
+}
+
+func (p *PromWriter) uintSample(name, suffix string, v uint64, labels []PromLabel, le []byte) {
+	p.sampleName(name, suffix, labels, le)
+	p.num = strconv.AppendUint(p.num[:0], v, 10)
+	p.writeBytes(p.num)
+	p.writeByte('\n')
+}
+
+func (p *PromWriter) floatSample(name, suffix string, v float64, labels []PromLabel) {
+	p.sampleName(name, suffix, labels, nil)
+	p.num = strconv.AppendFloat(p.num[:0], v, 'g', -1, 64)
+	p.writeBytes(p.num)
+	p.writeByte('\n')
 }
 
 // Uint writes one sample with an integer value.
 func (p *PromWriter) Uint(name string, v uint64, labels ...PromLabel) {
-	p.sampleName(name, labels)
-	p.write(strconv.FormatUint(v, 10))
-	p.write("\n")
+	p.uintSample(name, "", v, labels, nil)
 }
 
 // Float writes one sample with a float value (shortest round-trip form).
 func (p *PromWriter) Float(name string, v float64, labels ...PromLabel) {
-	p.sampleName(name, labels)
-	p.write(strconv.FormatFloat(v, 'g', -1, 64))
-	p.write("\n")
+	p.floatSample(name, "", v, labels)
 }
 
 // Histogram writes h as a native Prometheus histogram family: cumulative
@@ -97,17 +157,14 @@ func (p *PromWriter) Float(name string, v float64, labels ...PromLabel) {
 // quantization plus the coarseness of bounds.
 func (p *PromWriter) Histogram(name, help string, h *LatencyHist, bounds []sim.Duration, labels ...PromLabel) {
 	p.Head(name, help, "histogram")
-	cum := h.CumulativeBuckets(bounds)
-	bl := make([]PromLabel, len(labels)+1)
-	copy(bl, labels)
-	for i, b := range bounds {
-		bl[len(labels)] = PromLabel{Key: "le", Value: strconv.FormatFloat(b.Seconds(), 'g', -1, 64)}
-		p.Uint(name+"_bucket", cum[i], bl...)
+	for i, cum := range h.CumulativeBuckets(bounds) {
+		p.le = strconv.AppendFloat(p.le[:0], bounds[i].Seconds(), 'g', -1, 64)
+		p.uintSample(name, "_bucket", cum, labels, p.le)
 	}
-	bl[len(labels)] = PromLabel{Key: "le", Value: "+Inf"}
-	p.Uint(name+"_bucket", h.Count(), bl...)
-	p.Float(name+"_sum", h.Sum().Seconds(), labels...)
-	p.Uint(name+"_count", h.Count(), labels...)
+	p.le = append(p.le[:0], "+Inf"...)
+	p.uintSample(name, "_bucket", h.Count(), labels, p.le)
+	p.floatSample(name, "_sum", h.Sum().Seconds(), labels)
+	p.uintSample(name, "_count", h.Count(), labels, nil)
 }
 
 // Flush writes buffered output and reports the first error encountered.

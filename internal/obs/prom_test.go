@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -123,6 +124,48 @@ func TestPromWriterHistogram(t *testing.T) {
 	// _sum is the exact seconds total: 2*5µs + 2ms.
 	if !strings.Contains(out, "hhsim_latency_seconds_sum 0.00201\n") {
 		t.Fatalf("histogram _sum wrong:\n%s", out)
+	}
+}
+
+// TestPromWriterLabelledHistogram: extra labels precede le on every bucket
+// and label _sum and _count too.
+func TestPromWriterLabelledHistogram(t *testing.T) {
+	h := NewLatencyHist()
+	h.Record(5 * sim.Microsecond)
+	var b strings.Builder
+	p := NewPromWriter(&b)
+	p.Histogram("lat_seconds", "latency", h, []sim.Duration{10 * sim.Microsecond},
+		PromLabel{"svc", `q"t`}, PromLabel{"vm", "1"})
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	want := "# HELP lat_seconds latency\n" +
+		"# TYPE lat_seconds histogram\n" +
+		`lat_seconds_bucket{svc="q\"t",vm="1",le="1e-05"} 1` + "\n" +
+		`lat_seconds_bucket{svc="q\"t",vm="1",le="+Inf"} 1` + "\n" +
+		`lat_seconds_sum{svc="q\"t",vm="1"} 5e-06` + "\n" +
+		`lat_seconds_count{svc="q\"t",vm="1"} 1` + "\n"
+	if b.String() != want {
+		t.Fatalf("labelled histogram:\n got %q\nwant %q", b.String(), want)
+	}
+}
+
+// TestPromWriterSamplesAllocFree: once its scratch has grown, the writer
+// renders heads and labelled samples (escaped values included) without
+// allocating.
+func TestPromWriterSamplesAllocFree(t *testing.T) {
+	p := NewPromWriter(io.Discard)
+	render := func() {
+		p.Head("hhsim_events_total", "simulator transitions by kind", "counter")
+		p.Uint("hhsim_events_total", 1<<40, PromLabel{"kind", "arrivals"}, PromLabel{"vm", "a\\b\"c\nd"})
+		p.Float("hhsim_sim_time_seconds", 0.123456789, PromLabel{"quantile", "0.99"})
+	}
+	render()
+	if n := testing.AllocsPerRun(100, render); n != 0 {
+		t.Fatalf("rendering samples allocates %v per run, want 0", n)
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
 	}
 }
 
