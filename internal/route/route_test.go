@@ -33,6 +33,8 @@ type fleetSpec struct {
 	edit func(i int, cfg *cluster.Config, opts *cluster.Options)
 	// actions install router actions before the run.
 	actions []Action
+	// inspect, when set, sees the router after the run.
+	inspect func(rt *Router)
 }
 
 // runFleet assembles a router plus n servers into a ShardGroup and runs it
@@ -62,6 +64,9 @@ func runFleet(tb testing.TB, spec fleetSpec) (*Result, []*cluster.ServerResult) 
 	horizon := front.Wire(g, rt, servers)
 	rt.SetActions(spec.actions)
 	g.Run(horizon)
+	if spec.inspect != nil {
+		spec.inspect(rt)
+	}
 	var srvRes []*cluster.ServerResult
 	for _, srv := range servers {
 		srvRes = append(srvRes, srv.Finish())
