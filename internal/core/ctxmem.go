@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"hardharvest/internal/sim"
-)
+import "hardharvest/internal/sim"
 
 // Request Context Memory (§4.1.8): HardHarvest extends the in-hardware
 // context-switch support of uManycore — a dedicated on-chip memory reached
@@ -54,60 +50,4 @@ func (c CtxMemConfig) SwitchLatency() sim.Duration {
 	// Save and restore stream back-to-back; the NoC round trip is paid
 	// once because the restore is prefetched while the save drains.
 	return c.NoCRoundTrip + 2*c.TransferLatency()
-}
-
-// CtxMem tracks which contexts are saved where.
-type CtxMem struct {
-	cfg   CtxMemConfig
-	slots map[ReqID]int
-	free  []int
-}
-
-// NewCtxMem builds an empty context memory.
-func NewCtxMem(cfg CtxMemConfig) *CtxMem {
-	if cfg.Slots <= 0 || cfg.ContextBytes <= 0 || cfg.PortBytesPerCycle <= 0 {
-		panic("core: invalid context memory config")
-	}
-	m := &CtxMem{cfg: cfg, slots: make(map[ReqID]int)}
-	for i := cfg.Slots - 1; i >= 0; i-- {
-		m.free = append(m.free, i)
-	}
-	return m
-}
-
-// Config returns the memory's configuration.
-func (m *CtxMem) Config() CtxMemConfig { return m.cfg }
-
-// InUse reports occupied slots.
-func (m *CtxMem) InUse() int { return m.cfg.Slots - len(m.free) }
-
-// Save stores a request's context, returning the slot and the latency.
-func (m *CtxMem) Save(id ReqID) (slot int, lat sim.Duration, err error) {
-	if _, dup := m.slots[id]; dup {
-		return 0, 0, fmt.Errorf("core: context for request %d already saved", id)
-	}
-	if len(m.free) == 0 {
-		return 0, 0, fmt.Errorf("core: context memory full (%d slots)", m.cfg.Slots)
-	}
-	slot = m.free[len(m.free)-1]
-	m.free = m.free[:len(m.free)-1]
-	m.slots[id] = slot
-	return slot, m.cfg.NoCRoundTrip/2 + m.cfg.TransferLatency(), nil
-}
-
-// Restore loads a request's context and frees its slot.
-func (m *CtxMem) Restore(id ReqID) (lat sim.Duration, err error) {
-	slot, ok := m.slots[id]
-	if !ok {
-		return 0, fmt.Errorf("core: no saved context for request %d", id)
-	}
-	delete(m.slots, id)
-	m.free = append(m.free, slot)
-	return m.cfg.NoCRoundTrip/2 + m.cfg.TransferLatency(), nil
-}
-
-// Has reports whether a request's context is saved.
-func (m *CtxMem) Has(id ReqID) bool {
-	_, ok := m.slots[id]
-	return ok
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"testing"
-	"testing/quick"
 
 	"hardharvest/internal/sim"
 )
@@ -21,111 +20,5 @@ func TestCtxMemConfig(t *testing.T) {
 	sw := cfg.SwitchLatency()
 	if sw < 10*sim.Nanosecond || sw > 100*sim.Nanosecond {
 		t.Fatalf("switch latency = %v, want 10s of ns", sw)
-	}
-}
-
-func TestCtxMemSaveRestore(t *testing.T) {
-	m := NewCtxMem(DefaultCtxMemConfig())
-	slot, lat, err := m.Save(1)
-	if err != nil || lat <= 0 {
-		t.Fatalf("save: %v %v", lat, err)
-	}
-	if slot < 0 || slot >= m.Config().Slots {
-		t.Fatalf("slot = %d", slot)
-	}
-	if !m.Has(1) || m.InUse() != 1 {
-		t.Fatal("bookkeeping after save")
-	}
-	if _, _, err := m.Save(1); err == nil {
-		t.Fatal("duplicate save should fail")
-	}
-	if lat, err := m.Restore(1); err != nil || lat <= 0 {
-		t.Fatalf("restore: %v %v", lat, err)
-	}
-	if m.Has(1) || m.InUse() != 0 {
-		t.Fatal("bookkeeping after restore")
-	}
-	if _, err := m.Restore(1); err == nil {
-		t.Fatal("double restore should fail")
-	}
-}
-
-func TestCtxMemCapacity(t *testing.T) {
-	cfg := DefaultCtxMemConfig()
-	cfg.Slots = 2
-	m := NewCtxMem(cfg)
-	if _, _, err := m.Save(1); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := m.Save(2); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := m.Save(3); err == nil {
-		t.Fatal("save beyond capacity should fail")
-	}
-	if _, err := m.Restore(2); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := m.Save(3); err != nil {
-		t.Fatal("slot should be reusable after restore")
-	}
-}
-
-func TestCtxMemInvalidConfig(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("invalid config should panic")
-		}
-	}()
-	NewCtxMem(CtxMemConfig{})
-}
-
-// Property: any interleaving of saves and restores keeps slot assignments
-// unique and InUse consistent.
-func TestCtxMemSlotUniquenessProperty(t *testing.T) {
-	f := func(ops []uint8) bool {
-		cfg := DefaultCtxMemConfig()
-		cfg.Slots = 8
-		m := NewCtxMem(cfg)
-		saved := map[ReqID]int{}
-		next := ReqID(0)
-		for _, op := range ops {
-			if op%2 == 0 || len(saved) == 0 {
-				next++
-				slot, _, err := m.Save(next)
-				if len(saved) >= cfg.Slots {
-					if err == nil {
-						return false // must reject when full
-					}
-					continue
-				}
-				if err != nil {
-					return false
-				}
-				for _, s := range saved {
-					if s == slot {
-						return false // duplicate slot
-					}
-				}
-				saved[next] = slot
-			} else {
-				var id ReqID
-				for k := range saved {
-					id = k
-					break
-				}
-				if _, err := m.Restore(id); err != nil {
-					return false
-				}
-				delete(saved, id)
-			}
-			if m.InUse() != len(saved) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }

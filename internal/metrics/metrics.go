@@ -198,25 +198,6 @@ func (u *Utilization) CoreBusyFraction(core int, elapsed sim.Duration) float64 {
 	return float64(u.busyTotal[core]) / float64(elapsed)
 }
 
-// Throughput counts completed batch jobs.
-type Throughput struct {
-	jobs uint64
-}
-
-// AddJob records one completed job.
-func (t *Throughput) AddJob() { t.jobs++ }
-
-// Jobs reports completed jobs.
-func (t *Throughput) Jobs() uint64 { return t.jobs }
-
-// PerSecond reports jobs per simulated second.
-func (t *Throughput) PerSecond(elapsed sim.Duration) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(t.jobs) / elapsed.Seconds()
-}
-
 // Breakdown accumulates the components of request time (Figure 6):
 // hypervisor/controller core re-assignment, cache/TLB flush and
 // invalidation, and execution (including queueing and cold-start

@@ -79,22 +79,6 @@ func TestUtilizationZeroElapsed(t *testing.T) {
 	}
 }
 
-func TestThroughput(t *testing.T) {
-	var th Throughput
-	for i := 0; i < 50; i++ {
-		th.AddJob()
-	}
-	if th.Jobs() != 50 {
-		t.Fatalf("jobs = %d", th.Jobs())
-	}
-	if got := th.PerSecond(500 * sim.Millisecond); got != 100 {
-		t.Fatalf("per second = %v", got)
-	}
-	if th.PerSecond(0) != 0 {
-		t.Fatal("zero elapsed throughput")
-	}
-}
-
 func TestBreakdown(t *testing.T) {
 	var b Breakdown
 	b.AddRequest(100*sim.Microsecond, 200*sim.Microsecond, 700*sim.Microsecond)

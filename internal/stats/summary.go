@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -158,71 +157,6 @@ func (r *Recorder) CDF(k int) []CDFPoint {
 	return pts
 }
 
-// FractionBelow reports the fraction of samples strictly below v.
-func (r *Recorder) FractionBelow(v float64) float64 {
-	if len(r.samples) == 0 {
-		return 0
-	}
-	r.ensureSorted()
-	idx := sort.SearchFloat64s(r.samples, v)
-	return float64(idx) / float64(len(r.samples))
-}
-
-// Histogram is a fixed-width bucket histogram over [lo, hi); samples outside
-// the range land in saturating edge buckets.
-type Histogram struct {
-	lo, hi  float64
-	buckets []uint64
-	count   uint64
-}
-
-// NewHistogram builds a histogram with n buckets covering [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: invalid histogram shape")
-	}
-	return &Histogram{lo: lo, hi: hi, buckets: make([]uint64, n)}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(v float64) {
-	n := len(h.buckets)
-	idx := int(float64(n) * (v - h.lo) / (h.hi - h.lo))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= n {
-		idx = n - 1
-	}
-	h.buckets[idx]++
-	h.count++
-}
-
-// Count reports total samples recorded.
-func (h *Histogram) Count() uint64 { return h.count }
-
-// Bucket reports the count in bucket i.
-func (h *Histogram) Bucket(i int) uint64 { return h.buckets[i] }
-
-// NumBuckets reports the number of buckets.
-func (h *Histogram) NumBuckets() int { return len(h.buckets) }
-
-// BucketBounds reports the [lo, hi) range of bucket i.
-func (h *Histogram) BucketBounds(i int) (lo, hi float64) {
-	w := (h.hi - h.lo) / float64(len(h.buckets))
-	return h.lo + float64(i)*w, h.lo + float64(i+1)*w
-}
-
-// String renders a compact textual histogram, for debugging and reports.
-func (h *Histogram) String() string {
-	out := ""
-	for i := range h.buckets {
-		lo, hi := h.BucketBounds(i)
-		out += fmt.Sprintf("[%8.3g,%8.3g) %d\n", lo, hi, h.buckets[i])
-	}
-	return out
-}
-
 // MeanStddev computes the mean and (population) standard deviation of vs.
 func MeanStddev(vs []float64) (mean, stddev float64) {
 	if len(vs) == 0 {
@@ -238,44 +172,4 @@ func MeanStddev(vs []float64) (mean, stddev float64) {
 	}
 	stddev = math.Sqrt(stddev / float64(len(vs)))
 	return mean, stddev
-}
-
-// GeoMean computes the geometric mean of strictly positive values; zero or
-// negative values are skipped.
-func GeoMean(vs []float64) float64 {
-	sum, n := 0.0, 0
-	for _, v := range vs {
-		if v > 0 {
-			sum += math.Log(v)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(sum / float64(n))
-}
-
-// KSStatistic computes the two-sided Kolmogorov-Smirnov statistic between
-// the recorder's empirical distribution and a reference CDF. Used by tests
-// validating generated distributions against their analytic forms.
-func (r *Recorder) KSStatistic(cdf func(float64) float64) float64 {
-	n := len(r.samples)
-	if n == 0 {
-		return 0
-	}
-	r.ensureSorted()
-	maxDev := 0.0
-	for i, v := range r.samples {
-		f := cdf(v)
-		lo := float64(i) / float64(n)
-		hi := float64(i+1) / float64(n)
-		if d := f - lo; d > maxDev {
-			maxDev = d
-		}
-		if d := hi - f; d > maxDev {
-			maxDev = d
-		}
-	}
-	return maxDev
 }
