@@ -59,6 +59,16 @@ func Systems() []SystemKind {
 	return []SystemKind{NoHarvest, HarvestTerm, HarvestBlock, HardHarvestTerm, HardHarvestBlock}
 }
 
+// ParseSystem resolves a SystemKind by its printed name.
+func ParseSystem(name string) (SystemKind, error) {
+	for _, k := range Systems() {
+		if k.String() == name {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown system %q (want one of %v)", name, Systems())
+}
+
 // Options select the mechanisms of a simulated system. The five named
 // systems are presets; the ablation figures toggle individual fields.
 type Options struct {

@@ -102,7 +102,7 @@ func (sc *Scenario) compile() ([]*serverSpec, []action, error) {
 	specs := make([]*serverSpec, 0, sc.Servers())
 	for gi := range sc.Fleet {
 		g := &sc.Fleet[gi]
-		kind, err := parseSystem(g.System)
+		kind, err := cluster.ParseSystem(g.System)
 		if err != nil {
 			return nil, nil, err
 		}

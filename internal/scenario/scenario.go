@@ -720,7 +720,7 @@ func (sc *Scenario) validateGroup(g *Group, path string, seen map[string]bool) e
 	if g.Count < 1 {
 		return errAt(g.line, path+".count", "must be >= 1, got %d", g.Count)
 	}
-	if _, err := parseSystem(g.System); err != nil {
+	if _, err := cluster.ParseSystem(g.System); err != nil {
 		return errAt(g.fieldLine("system"), path+".system", "%v", err)
 	}
 	if _, err := batch.WorkloadByName(g.Workload); err != nil {
@@ -1010,14 +1010,4 @@ func (sc *Scenario) validateAssertion(a *Assertion, path string) error {
 		return errAt(a.line, path, "min %g exceeds max %g", *a.Min, *a.Max)
 	}
 	return nil
-}
-
-// parseSystem resolves a cluster.SystemKind by its printed name.
-func parseSystem(name string) (cluster.SystemKind, error) {
-	for _, k := range cluster.Systems() {
-		if k.String() == name {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown system %q (want one of %v)", name, cluster.Systems())
 }

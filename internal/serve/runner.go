@@ -75,22 +75,40 @@ func DefaultRunConfig() RunConfig {
 // baseline in tests: the byte-equivalence guarantees hold because every
 // mode starts from the identical simulation.
 func (rc RunConfig) build() (*cluster.Server, *obs.Meter, error) {
-	kind, err := ParseSystem(rc.System)
+	kind, work, err := rc.parse()
 	if err != nil {
 		return nil, nil, err
 	}
+	srv, _, meter := rc.newServer(kind, work, 0, false)
+	return srv, meter, nil
+}
+
+// parse resolves the config's system and batch workload names.
+func (rc RunConfig) parse() (cluster.SystemKind, *batch.Workload, error) {
+	kind, err := ParseSystem(rc.System)
+	if err != nil {
+		return 0, nil, err
+	}
 	work, err := batch.WorkloadByName(rc.Workload)
 	if err != nil {
-		return nil, nil, fmt.Errorf("serve: %w", err)
+		return 0, nil, fmt.Errorf("serve: %w", err)
 	}
+	return kind, work, nil
+}
+
+// newServer constructs server i of the run with its meter; fleet servers
+// admit remotely. Seeds follow the RunCluster derivation, so server 0
+// runs with the config's own seed.
+func (rc RunConfig) newServer(kind cluster.SystemKind, work *batch.Workload, i int, remote bool) (*cluster.Server, cluster.Config, *obs.Meter) {
 	ccfg := cluster.DefaultConfig()
 	ccfg.WarmupDuration = sim.Duration(rc.WarmupMS) * sim.Millisecond
 	ccfg.MeasureDuration = sim.Duration(rc.SimMS) * sim.Millisecond
-	ccfg.Seed = rc.Seed
+	ccfg.Seed = rc.Seed + uint64(i)*7919
 	opts := cluster.SystemOptions(kind)
 	meter := obs.NewMeter()
 	opts.Observer = meter
-	return cluster.NewServer(ccfg, opts, work), meter, nil
+	opts.RemoteAdmission = remote
+	return cluster.NewServer(ccfg, opts, work), ccfg, meter
 }
 
 // ParseGraph resolves a built-in DAG name to its spec.
@@ -111,13 +129,9 @@ func ParseGraph(name string, netDelay sim.Duration) (*graph.Spec, error) {
 // derivation.
 func (r *Runner) buildFleet() error {
 	rc := r.cfg
-	kind, err := ParseSystem(rc.System)
+	kind, work, err := rc.parse()
 	if err != nil {
 		return err
-	}
-	work, err := batch.WorkloadByName(rc.Workload)
-	if err != nil {
-		return fmt.Errorf("serve: %w", err)
 	}
 	var names []string
 	var spec *graph.Spec
@@ -156,15 +170,7 @@ func (r *Runner) buildFleet() error {
 	}
 	backends := make([]front.Backend, len(names))
 	for i, name := range names {
-		ccfg := cluster.DefaultConfig()
-		ccfg.WarmupDuration = sim.Duration(rc.WarmupMS) * sim.Millisecond
-		ccfg.MeasureDuration = sim.Duration(rc.SimMS) * sim.Millisecond
-		ccfg.Seed = rc.Seed + uint64(i)*7919
-		opts := cluster.SystemOptions(kind)
-		meter := obs.NewMeter()
-		opts.Observer = meter
-		opts.RemoteAdmission = true
-		srv := cluster.NewServer(ccfg, opts, work)
+		srv, ccfg, meter := rc.newServer(kind, work, i, true)
 		r.fleet = append(r.fleet, srv)
 		r.meters = append(r.meters, meter)
 		backends[i] = front.Backend{Server: srv, Cfg: ccfg, Name: name, Weight: 1}
@@ -185,12 +191,11 @@ func (r *Runner) buildFleet() error {
 
 // ParseSystem resolves a system name as printed by cluster.SystemKind.
 func ParseSystem(name string) (cluster.SystemKind, error) {
-	for _, k := range cluster.Systems() {
-		if k.String() == name {
-			return k, nil
-		}
+	k, err := cluster.ParseSystem(name)
+	if err != nil {
+		return 0, fmt.Errorf("serve: %w", err)
 	}
-	return 0, fmt.Errorf("serve: unknown system %q (want one of %v)", name, cluster.Systems())
+	return k, nil
 }
 
 // Action kinds. Every kind is applied at a barrier and logged.
