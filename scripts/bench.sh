@@ -37,9 +37,10 @@ CHECK=0
 # BenchmarkServerSoftware, software harvesting), shard group, router
 # (BenchmarkRoutedFleet), DAG dispatcher (BenchmarkGraphDispatch), scenario
 # runner (BenchmarkScenarioRun, one sub-benchmark per scenarios/ file), and
-# the live serve runner (BenchmarkServeStep).
+# the live serve runner (BenchmarkServeStep routed, BenchmarkServeSingle on
+# one server).
 NS_GATED_RE='BenchmarkServerSimulation$'
-OTHER_RE='BenchmarkControllerCycle$|BenchmarkServerNilObserver|BenchmarkEngineScheduleCall$|BenchmarkEngineScheduleClosure|BenchmarkEngineHeapChurn|BenchmarkShardedVsSerial|BenchmarkRoutedFleet$|BenchmarkGraphDispatch$|BenchmarkScenarioRun$|BenchmarkServerSoftware$|BenchmarkServeStep$'
+OTHER_RE='BenchmarkControllerCycle$|BenchmarkServerNilObserver|BenchmarkEngineScheduleCall$|BenchmarkEngineScheduleClosure|BenchmarkEngineHeapChurn|BenchmarkShardedVsSerial|BenchmarkRoutedFleet$|BenchmarkGraphDispatch$|BenchmarkScenarioRun$|BenchmarkServerSoftware$|BenchmarkServeStep$|BenchmarkServeSingle$'
 OUT=$(mktemp)
 trap 'rm -f "$OUT"' EXIT
 
