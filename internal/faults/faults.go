@@ -217,6 +217,10 @@ func (p *Plan) Validate() error {
 			return fmt.Errorf("%s.count: must be >= 1, got %d", fs.name, s.Count)
 		case s.SpanMS < 0:
 			return fmt.Errorf("%s.span_ms: must be non-negative, got %g", fs.name, s.SpanMS)
+		case !fitsClock(s.DurationMS):
+			return fmt.Errorf("%s.duration_ms: %g ms does not fit the simulated clock", fs.name, s.DurationMS)
+		case !fitsClock(s.SpanMS):
+			return fmt.Errorf("%s.span_ms: %g ms does not fit the simulated clock", fs.name, s.SpanMS)
 		case s.Jitter < 0 || s.Jitter >= 1:
 			return fmt.Errorf("%s.jitter: must be in [0,1), got %g", fs.name, s.Jitter)
 		}
@@ -228,6 +232,12 @@ func (p *Plan) Validate() error {
 		}
 		if ev.AtMS < 0 {
 			return fmt.Errorf("events[%d].at_ms: must be non-negative, got %g", i, ev.AtMS)
+		}
+		if !fitsClock(ev.AtMS) {
+			return fmt.Errorf("events[%d].at_ms: %g ms does not fit the simulated clock", i, ev.AtMS)
+		}
+		if !fitsClock(ev.DurationMS) {
+			return fmt.Errorf("events[%d].duration_ms: %g ms does not fit the simulated clock", i, ev.DurationMS)
 		}
 		switch k {
 		case CoreDegrade, CoreOffline, IOStraggler, ServerCrash:
@@ -262,6 +272,14 @@ func (p *Plan) Scaled(x float64) *Plan {
 }
 
 func ms(v float64) sim.Duration { return sim.Duration(v * float64(sim.Millisecond)) }
+
+// fitsClock reports whether a millisecond field converts to a Duration
+// without wrapping; Validate refuses the ones that do not, which ms would
+// otherwise turn into negative delays.
+func fitsClock(v float64) bool {
+	_, ok := sim.FromMilliseconds(v)
+	return ok
+}
 
 // Expand turns the plan into the concrete, time-sorted injection schedule
 // for one server: seed is the server's own seed (mixed with the plan's),

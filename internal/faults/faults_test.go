@@ -109,6 +109,10 @@ func TestValidateFieldErrors(t *testing.T) {
 		{"event missing dur", Plan{Events: []ScriptedEvent{{Kind: "core_offline"}}}, "events[0].duration_ms"},
 		{"event bad factor", Plan{Events: []ScriptedEvent{{Kind: "io_straggler", DurationMS: 1, Factor: 0.2}}}, "events[0].factor"},
 		{"event negative time", Plan{Events: []ScriptedEvent{{Kind: "preempt_storm", AtMS: -1}}}, "events[0].at_ms"},
+		{"duration past the clock", Plan{CoreOffline: &Spec{RatePerSec: 1, DurationMS: 1e10}}, "core_offline.duration_ms: 1e+10 ms does not fit"},
+		{"span past the clock", Plan{Burst: &Spec{RatePerSec: 1, DurationMS: 1, Count: 2, SpanMS: 1e10}}, "burst.span_ms: 1e+10 ms does not fit"},
+		{"event time past the clock", Plan{Events: []ScriptedEvent{{Kind: "preempt_storm", AtMS: 1e10}}}, "events[0].at_ms: 1e+10 ms does not fit"},
+		{"event duration past the clock", Plan{Events: []ScriptedEvent{{Kind: "core_offline", AtMS: 5, DurationMS: 1e10}}}, "events[0].duration_ms: 1e+10 ms does not fit"},
 	}
 	for _, tc := range cases {
 		err := tc.plan.Validate()

@@ -196,7 +196,7 @@ func (sc *Scenario) compile() ([]*serverSpec, []action, error) {
 				a.kind, a.on = actHarvestOnBlock, e.On
 			case EvDrain:
 				a.kind, a.src = actDrain, s.index
-				a.deadline = sim.Duration(e.DeadlineMS * float64(sim.Millisecond))
+				a.deadline, _ = sim.FromMilliseconds(e.DeadlineMS) // validated
 				fronts = append(fronts, a)
 				continue
 			}

@@ -946,6 +946,9 @@ func (sc *Scenario) validateEvent(e *EventEntry, path string) error {
 		if e.DeadlineMS <= 0 {
 			return errAt(e.line, path+".deadline_ms", "must be positive, got %g", e.DeadlineMS)
 		}
+		if _, ok := sim.FromMilliseconds(e.DeadlineMS); !ok {
+			return errAt(e.line, path+".deadline_ms", "%g ms does not fit the simulated clock", e.DeadlineMS)
+		}
 	case "":
 		return errAt(e.line, path+".kind", "required (one of %s, %s, %s, %s)",
 			EvFaults, EvResilience, EvHarvestOnBlock, EvDrain)

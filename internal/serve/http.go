@@ -100,9 +100,9 @@ func control(r *Runner, f func(*Runner) error) http.HandlerFunc {
 }
 
 // configRequest is the POST /api/config body: each present field becomes
-// one barrier-applied action. Server targets one fleet backend in routed
-// mode (fault_plan, drain_deadline_ms); it is rejected at apply time on a
-// routerless run.
+// one barrier-applied action. Server targets one fleet backend
+// (fault_plan, drain_deadline_ms); a target past the fleet, any nonzero
+// one on a one-server run, is dropped at apply time.
 type configRequest struct {
 	Intensity       *float64     `json:"intensity,omitempty"`
 	HarvestOnBlock  *bool        `json:"harvest_on_block,omitempty"`

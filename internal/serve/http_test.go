@@ -603,3 +603,33 @@ func TestHTTPRoutedSurfaces(t *testing.T) {
 	}
 	plain.Shutdown()
 }
+
+// TestHTTPDrainDeadlineOverflow: POST /api/config with a drain deadline
+// past the simulated clock's range is a 400, and the loop keeps stepping
+// with nothing applied (it used to accept the POST and panic at the next
+// barrier).
+func TestHTTPDrainDeadlineOverflow(t *testing.T) {
+	r, err := NewRunner(routedCfg(), nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, cancel := r.Subscribe(4096)
+	defer cancel()
+	r.Pause()
+	go r.Loop()
+	ts := httptest.NewServer(NewHTTP(r))
+	defer ts.Close()
+	defer r.Shutdown()
+
+	code, body := post(t, ts.URL+"/api/config", `{"server": 1, "drain_deadline_ms": 1e10}`)
+	if code != http.StatusBadRequest || !strings.Contains(body, "does not fit the simulated clock") {
+		t.Fatalf("overflowing drain POST: %d: %s", code, body)
+	}
+	if code, body := post(t, ts.URL+"/api/step", ""); code != http.StatusOK {
+		t.Fatalf("step POST: %d: %s", code, body)
+	}
+	<-ch
+	if st := r.State(); st.Actions != 0 || st.Router.Drains != 0 {
+		t.Fatalf("rejected drain reached the run: actions=%d drains=%d", st.Actions, st.Router.Drains)
+	}
+}

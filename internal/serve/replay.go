@@ -8,7 +8,6 @@ import (
 	"io"
 
 	"hardharvest/internal/jsonx"
-	"hardharvest/internal/sim"
 )
 
 // Replay reconstructs a served run from its action log: the header line
@@ -70,30 +69,22 @@ func ReplayActions(cfg RunConfig, actions []Action) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	step := r.step
 	next := 0
-	barrier := sim.Time(0)
 	for {
-		for next < len(actions) && actions[next].At == int64(barrier) {
-			a := actions[next]
-			if err := r.applyAction(a, barrier); err != nil {
-				return "", fmt.Errorf("serve: replay at t=%v: %w", barrier, err)
+		for next < len(actions) && actions[next].At == int64(r.barrier) {
+			if err := r.applyAction(actions[next], r.barrier); err != nil {
+				return "", fmt.Errorf("serve: replay at t=%v: %w", r.barrier, err)
 			}
 			r.applied++
 			next++
 		}
-		if next < len(actions) && actions[next].At < int64(barrier) {
+		if next < len(actions) && actions[next].At < int64(r.barrier) {
 			return "", fmt.Errorf("serve: replay: action at t=%dps is not on a %v barrier",
-				actions[next].At, step)
+				actions[next].At, r.step)
 		}
-		nb := barrier.Add(step)
-		if h := r.srv.Horizon(); nb > h {
-			nb = h
-		}
-		if r.stepTo(nb) {
+		if r.advance() {
 			break
 		}
-		barrier = nb
 	}
 	if next < len(actions) {
 		return "", fmt.Errorf("serve: replay: %d actions logged past the horizon", len(actions)-next)

@@ -70,19 +70,6 @@ func DefaultRunConfig() RunConfig {
 	}
 }
 
-// build constructs the cluster server plus its meter for this config. It
-// is the single construction path for live runs, replays, and the batch
-// baseline in tests: the byte-equivalence guarantees hold because every
-// mode starts from the identical simulation.
-func (rc RunConfig) build() (*cluster.Server, *obs.Meter, error) {
-	kind, work, err := rc.parse()
-	if err != nil {
-		return nil, nil, err
-	}
-	srv, _, meter := rc.newServer(kind, work, 0, false)
-	return srv, meter, nil
-}
-
 // parse resolves the config's system and batch workload names.
 func (rc RunConfig) parse() (cluster.SystemKind, *batch.Workload, error) {
 	kind, err := ParseSystem(rc.System)
@@ -111,8 +98,8 @@ func (rc RunConfig) newServer(kind cluster.SystemKind, work *batch.Workload, i i
 	return cluster.NewServer(ccfg, opts, work), ccfg, meter
 }
 
-// ParseGraph resolves a built-in DAG name to its spec.
-func ParseGraph(name string, netDelay sim.Duration) (*graph.Spec, error) {
+// parseGraph resolves a built-in DAG name to its spec.
+func parseGraph(name string, netDelay sim.Duration) (*graph.Spec, error) {
 	switch name {
 	case "socialnet":
 		return graph.SocialNet(netDelay), nil
@@ -121,17 +108,32 @@ func ParseGraph(name string, netDelay sim.Duration) (*graph.Spec, error) {
 	}
 }
 
-// buildFleet constructs the fleet-mode simulation: remote-admission
-// servers behind a front door — a router over Backends servers, or a graph
-// dispatcher over Backends servers per tier group (tiers in the same group
-// share its servers) — assembled into one ShardGroup by front.Wire, the
-// scenario runner's wiring path. Per-server seeds follow the RunCluster
-// derivation.
+// buildFleet constructs the simulation of every mode on one ShardGroup:
+// live runs, replays and the differential tests all start here, so the
+// byte-equivalence guarantees hold because every mode starts from the
+// identical simulation. A one-server run is a one-member group with no
+// front door: the server generates its own arrivals and is advanced by
+// StepTo, as scenario.RunShards runs routerless servers. Fleet runs put
+// remote-admission servers behind a front door — a router over Backends
+// servers, or a graph dispatcher over Backends servers per tier group
+// (tiers in the same group share its servers) — assembled by front.Wire,
+// the scenario runner's wiring path. Per-server seeds follow the
+// RunCluster derivation, so server 0 runs with the config's own seed.
 func (r *Runner) buildFleet() error {
 	rc := r.cfg
 	kind, work, err := rc.parse()
 	if err != nil {
 		return err
+	}
+	r.group = sim.NewShardGroup(0)
+	if !rc.Routed && rc.Graph == "" {
+		srv, _, meter := rc.newServer(kind, work, 0, false)
+		r.fleet, r.meters = []*cluster.Server{srv}, []*obs.Meter{meter}
+		srv.Start()
+		r.group.AddFunc(srv.Engine(), func(to sim.Time) { srv.StepTo(to) })
+		r.horizon = srv.Horizon()
+		r.setIntensity = srv.SetIntensity
+		return nil
 	}
 	var names []string
 	var spec *graph.Spec
@@ -153,7 +155,7 @@ func (r *Runner) buildFleet() error {
 		if rc.Backends <= 0 {
 			return fmt.Errorf("serve: graph mode needs backends >= 1 per tier group, got %d", rc.Backends)
 		}
-		if spec, err = ParseGraph(rc.Graph, 20*sim.Microsecond); err != nil {
+		if spec, err = parseGraph(rc.Graph, 20*sim.Microsecond); err != nil {
 			return err
 		}
 		byGroup := map[string][]int{}
@@ -175,7 +177,10 @@ func (r *Runner) buildFleet() error {
 		r.meters = append(r.meters, meter)
 		backends[i] = front.Backend{Server: srv, Cfg: ccfg, Name: name, Weight: 1}
 	}
-	var door front.Door
+	var door interface {
+		front.Door
+		SetIntensityAll(x float64)
+	}
 	if spec != nil {
 		r.gd = graph.New(spec, backends, tiers)
 		door = r.gd
@@ -183,9 +188,8 @@ func (r *Runner) buildFleet() error {
 		r.rt = route.New(rcfg, backends)
 		door = r.rt
 	}
-	r.group = sim.NewShardGroup(0)
-	front.Wire(r.group, door, r.fleet)
-	r.srv, r.meter = r.fleet[0], r.meters[0]
+	r.horizon = front.Wire(r.group, door, r.fleet)
+	r.setIntensity = func(x float64) error { door.SetIntensityAll(x); return nil }
 	return nil
 }
 
@@ -209,8 +213,8 @@ const (
 
 // Action is one logged control mutation. At is the simulated barrier time
 // (picoseconds) it was applied at; replay re-applies it at the same barrier.
-// Server targets one fleet backend in routed mode (faults, drain); in
-// routerless mode it must stay 0.
+// Server targets one fleet backend (faults, drain); a one-server run has
+// only server 0.
 type Action struct {
 	At         int64        `json:"at"`
 	Kind       string       `json:"kind"`
@@ -245,6 +249,9 @@ func (a Action) validate() error {
 	case ActDrain:
 		if !(a.DeadlineMS > 0) {
 			return fmt.Errorf("serve: drain needs deadline_ms > 0, got %v", a.DeadlineMS)
+		}
+		if _, ok := sim.FromMilliseconds(a.DeadlineMS); !ok {
+			return fmt.Errorf("serve: drain deadline_ms %v does not fit the simulated clock", a.DeadlineMS)
 		}
 	default:
 		return fmt.Errorf("serve: unknown action kind %q", a.Kind)
@@ -417,10 +424,10 @@ func graphPoint(cfg RunConfig, gd *graph.Dispatcher) *GraphPoint {
 
 // State is the published barrier snapshot HTTP readers see. Everything in
 // it is an independent copy: the engine goroutine keeps mutating its own
-// structures while readers render this. In routed mode Counters and Hist
-// aggregate the whole fleet, Occupancy/Topology show backend 0 (the live
-// per-VM view stays single-server), and Router carries the front door's
-// snapshot.
+// structures while readers render this. Counters and Hist aggregate every
+// server, EventsFired counts every engine of the group, Occupancy/Topology
+// show server 0 (the live per-VM view stays single-server), and Router or
+// Graph carries the front door's snapshot in the fleet modes.
 type State struct {
 	Config      RunConfig
 	SimTime     sim.Time
@@ -439,24 +446,27 @@ type State struct {
 	Graph       *GraphPoint  // nil outside graph mode
 }
 
-// Runner drives one served simulation. The loop goroutine owns the cluster
-// server (routed mode: the shard group), everything else reads published
-// snapshots or enqueues actions under the runner's lock. In routed mode srv
-// and meter alias backend 0 so the single-server surfaces keep working.
+// Runner drives one served simulation. The loop goroutine owns the shard
+// group, everything else reads published snapshots or enqueues actions
+// under the runner's lock.
 type Runner struct {
-	cfg   RunConfig
-	srv   *cluster.Server
-	meter *obs.Meter
-	step  sim.Duration
-	logW  io.Writer
+	cfg  RunConfig
+	step sim.Duration
+	logW io.Writer
 
-	// Fleet-mode members (nil/empty in single-server mode). Exactly one of
-	// rt (routed) and gd (graph) is set when group is.
-	group  *sim.ShardGroup
-	rt     *route.Router
-	gd     *graph.Dispatcher
-	fleet  []*cluster.Server
-	meters []*obs.Meter
+	// The simulation, one shard group in every mode. fleet and meters hold
+	// every server (one in a one-server run); at most one of rt (routed)
+	// and gd (graph) is set. setIntensity scales the offered load where
+	// arrivals are generated: the one server's own generators, or the
+	// front door's. barrier is the last barrier the group reached.
+	group        *sim.ShardGroup
+	rt           *route.Router
+	gd           *graph.Dispatcher
+	fleet        []*cluster.Server
+	meters       []*obs.Meter
+	setIntensity func(x float64) error
+	horizon      sim.Time
+	barrier      sim.Time
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -474,7 +484,6 @@ type Runner struct {
 	shutdownMu sync.Once
 
 	done    bool
-	result  *cluster.ServerResult
 	summary string
 }
 
@@ -500,17 +509,8 @@ func NewRunner(cfg RunConfig, logW io.Writer, pace float64) (*Runner, error) {
 	if cfg.Routed && cfg.Graph != "" {
 		return nil, fmt.Errorf("serve: routed and graph modes are exclusive")
 	}
-	if cfg.Routed || cfg.Graph != "" {
-		if err := r.buildFleet(); err != nil {
-			return nil, err
-		}
-	} else {
-		srv, meter, err := cfg.build()
-		if err != nil {
-			return nil, err
-		}
-		r.srv, r.meter = srv, meter
-		r.srv.Start()
+	if err := r.buildFleet(); err != nil {
+		return nil, err
 	}
 	r.cond = sync.NewCond(&r.mu)
 	r.publishLocked(false) // pre-loop state for early scrapes
@@ -529,7 +529,6 @@ func (r *Runner) Config() RunConfig { return r.cfg }
 // It must be called exactly once, on its own goroutine for a live server
 // (tests drive it synchronously).
 func (r *Runner) Loop() {
-	barrier := sim.Time(0)
 	for {
 		r.mu.Lock()
 		for r.paused && r.stepsOK == 0 && !r.closing {
@@ -552,8 +551,8 @@ func (r *Runner) Loop() {
 		// an action that did not change the simulation must not be logged,
 		// or replay would diverge.
 		for _, a := range todo {
-			a.At = int64(barrier)
-			if err := r.applyAction(a, barrier); err != nil {
+			a.At = int64(r.barrier)
+			if err := r.applyAction(a, r.barrier); err != nil {
 				continue
 			}
 			r.mu.Lock()
@@ -567,12 +566,7 @@ func (r *Runner) Loop() {
 			}
 		}
 
-		next := barrier.Add(r.step)
-		if h := r.srv.Horizon(); next > h {
-			next = h
-		}
-		done := r.stepTo(next)
-		barrier = next
+		done := r.advance()
 
 		r.mu.Lock()
 		r.publishLocked(done)
@@ -590,58 +584,52 @@ func (r *Runner) Loop() {
 	}
 }
 
-// stepTo advances the simulation one barrier: StepTo on the single server,
-// or one bounded sweep of the shard group's conservative windows in routed
-// mode. Routed barrier application is safe without engine-event actions
+// advance is the one barrier step of the live loop and of replay: the
+// group runs its conservative windows up to the next barrier, clamped at
+// the horizon, and advance reports whether the run reached it. Applying
+// actions between two advances is safe without engine-event actions
 // (unlike the scenario runner's): between group.Run calls every member's
-// window grant sits exactly at the barrier, so a mutation applied here can
-// only create events at or after everyone's doneTo.
-func (r *Runner) stepTo(next sim.Time) bool {
-	if r.group != nil {
-		r.group.Run(next)
-		return next >= r.srv.Horizon()
-	}
-	return r.srv.StepTo(next)
+// window grant sits exactly at the barrier, so a mutation applied there
+// can only create events at or after everyone's doneTo.
+func (r *Runner) advance() bool {
+	r.barrier = min(r.barrier.Add(r.step), r.horizon)
+	r.group.Run(r.barrier)
+	return r.barrier >= r.horizon
 }
 
-// renderFinish finalizes every simulation member and renders the
+// renderFinish finalizes every server and the front door and renders the
 // deterministic end-of-run summary. Caller holds r.mu (live loop) or is
 // single-threaded (replay).
 func (r *Runner) renderFinish() string {
-	if r.rt == nil && r.gd == nil {
-		r.result = r.srv.Finish()
-		return renderSummary(r.cfg, r.result, r.meter.Counters(), r.meter.Hist(), r.applied)
-	}
 	results := make([]*cluster.ServerResult, len(r.fleet))
 	for i, srv := range r.fleet {
 		results[i] = srv.Finish()
 	}
-	r.result = results[0]
-	if r.gd != nil {
+	switch {
+	case r.gd != nil:
 		return renderGraphSummary(r.cfg, results, r.meters, r.gd.Finish(), r.applied)
+	case r.rt != nil:
+		return renderRoutedSummary(r.cfg, results, r.meters, r.rt.Finish(), r.applied)
+	default:
+		return renderSummary(r.cfg, results[0], r.meters[0].Counters(), r.meters[0].Hist(), r.applied)
 	}
-	return renderRoutedSummary(r.cfg, results, r.meters, r.rt.Finish(), r.applied)
 }
 
-// applyAction mutates the simulation at a barrier. Fleet mode redirects
-// the intensity knob to the front door's generators (applied to every
-// source), fleet-wide toggles to every backend, and targeted kinds (faults,
-// drain) to a.Server; drain needs a router.
+// applyAction mutates the simulation at a barrier: the intensity knob goes
+// where arrivals are generated (every source of a front door), toggles to
+// every server, and targeted kinds (faults, drain) to a.Server; drain needs
+// a router. It validates a itself, so no caller can hand the loop an
+// action that would panic it.
 func (r *Runner) applyAction(a Action, at sim.Time) error {
-	if r.group == nil {
-		return r.applyServer(a, at)
+	if err := a.validate(); err != nil {
+		return err
 	}
 	if a.Server >= len(r.fleet) {
 		return fmt.Errorf("serve: server %d out of range (fleet has %d)", a.Server, len(r.fleet))
 	}
 	switch a.Kind {
 	case ActIntensity:
-		if r.rt != nil {
-			r.rt.SetIntensityAll(a.Intensity)
-		} else {
-			r.gd.SetIntensityAll(a.Intensity)
-		}
-		return nil
+		return r.setIntensity(a.Intensity)
 	case ActHarvestOnBlock:
 		for _, srv := range r.fleet {
 			srv.SetHarvestOnBlock(a.On)
@@ -658,73 +646,45 @@ func (r *Runner) applyAction(a Action, at sim.Time) error {
 		if r.rt == nil {
 			return fmt.Errorf("serve: drain needs a routed run")
 		}
-		r.rt.StartDrain(a.Server, sim.Duration(a.DeadlineMS*float64(sim.Millisecond)))
+		deadline, _ := sim.FromMilliseconds(a.DeadlineMS) // validated above
+		r.rt.StartDrain(a.Server, deadline)
 		return nil
-	default:
-		return fmt.Errorf("serve: unknown action kind %q", a.Kind)
-	}
-}
-
-// applyServer mutates the single-server simulation at a barrier.
-func (r *Runner) applyServer(a Action, at sim.Time) error {
-	if a.Server != 0 {
-		return fmt.Errorf("serve: action targets server %d but the run is routerless", a.Server)
-	}
-	switch a.Kind {
-	case ActIntensity:
-		return r.srv.SetIntensity(a.Intensity)
-	case ActHarvestOnBlock:
-		r.srv.SetHarvestOnBlock(a.On)
-		return nil
-	case ActResilience:
-		r.srv.SetResilienceEnabled(a.On)
-		return nil
-	case ActFaults:
-		return r.srv.InjectFaultPlan(a.Plan, at)
-	case ActDrain:
-		return fmt.Errorf("serve: drain needs a routed run")
 	default:
 		return fmt.Errorf("serve: unknown action kind %q", a.Kind)
 	}
 }
 
 // publishLocked refreshes the published snapshot and fans a TimePoint out
-// to subscribers. Caller holds r.mu; the cluster server is quiescent (the
-// loop goroutine is between StepTo calls).
+// to subscribers. Caller holds r.mu; the shard group is quiescent (the
+// loop goroutine is between group.Run calls).
 func (r *Runner) publishLocked(done bool) {
-	occ := r.srv.OccupancySnapshot()
-	topo := r.srv.LiveTopology()
-	hist := r.meter.Hist().Clone()
-	c := r.meter.Counters()
-	events := r.srv.EventsFired()
+	srv := r.fleet[0]
+	occ := srv.OccupancySnapshot()
+	topo := srv.LiveTopology()
+	c := obs.Counters{}
+	hist := obs.NewLatencyHist()
+	for _, m := range r.meters {
+		mc := m.Counters()
+		c.Add(&mc)
+		hist.Merge(m.Hist())
+	}
 	var router *RouterPoint
 	var gp *GraphPoint
-	if r.rt != nil || r.gd != nil {
-		c = obs.Counters{}
-		hist = obs.NewLatencyHist()
-		if r.rt != nil {
-			events = r.rt.Engine().Fired()
-			router = routerPoint(r.rt)
-		} else {
-			events = r.gd.Engine().Fired()
-			gp = graphPoint(r.cfg, r.gd)
-		}
-		for i, m := range r.meters {
-			mc := m.Counters()
-			c.Add(&mc)
-			hist.Merge(m.Hist())
-			events += r.fleet[i].EventsFired()
-		}
+	if r.rt != nil {
+		router = routerPoint(r.rt)
+	}
+	if r.gd != nil {
+		gp = graphPoint(r.cfg, r.gd)
 	}
 	r.pub = State{
 		Config:      r.cfg,
-		SimTime:     r.srv.Now(),
-		Horizon:     r.srv.Horizon(),
+		SimTime:     srv.Now(),
+		Horizon:     r.horizon,
 		Done:        done,
 		Paused:      r.paused,
 		Pace:        r.pace,
 		Intensity:   r.intensty,
-		EventsFired: events,
+		EventsFired: r.group.Fired(),
 		Actions:     r.applied,
 		Counters:    c,
 		Hist:        hist,

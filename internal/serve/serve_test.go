@@ -5,7 +5,11 @@ import (
 	"strings"
 	"testing"
 
+	"hardharvest/internal/batch"
+	"hardharvest/internal/cluster"
 	"hardharvest/internal/faults"
+	"hardharvest/internal/obs"
+	"hardharvest/internal/sim"
 )
 
 // quickCfg is a small-but-real run: full system, short windows.
@@ -27,13 +31,25 @@ func quickCfg() RunConfig {
 func TestStepEquivalenceZeroActions(t *testing.T) {
 	cfg := quickCfg()
 
-	// Batch baseline: one Run over the whole horizon.
-	srv, meter, err := cfg.build()
+	// Batch baseline: one Run over the whole horizon, built straight from
+	// the cluster constructors rather than the runner's own builder.
+	kind, err := cluster.ParseSystem(cfg.System)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := srv.Run()
-	batch := renderSummary(cfg, res, meter.Counters(), meter.Hist(), 0)
+	work, err := batch.WorkloadByName(cfg.Workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ccfg := cluster.DefaultConfig()
+	ccfg.WarmupDuration = sim.Duration(cfg.WarmupMS) * sim.Millisecond
+	ccfg.MeasureDuration = sim.Duration(cfg.SimMS) * sim.Millisecond
+	ccfg.Seed = cfg.Seed
+	opts := cluster.SystemOptions(kind)
+	meter := obs.NewMeter()
+	opts.Observer = meter
+	res := cluster.NewServer(ccfg, opts, work).Run()
+	batchSum := renderSummary(cfg, res, meter.Counters(), meter.Hist(), 0)
 
 	// Served: the replay path drives the identical barrier loop a live
 	// runner uses.
@@ -41,11 +57,11 @@ func TestStepEquivalenceZeroActions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stepped != batch {
-		t.Fatalf("stepped run diverged from batch run:\n--- batch ---\n%s--- stepped ---\n%s", batch, stepped)
+	if stepped != batchSum {
+		t.Fatalf("stepped run diverged from batch run:\n--- batch ---\n%s--- stepped ---\n%s", batchSum, stepped)
 	}
-	if !strings.Contains(batch, "counters: arrivals=") {
-		t.Fatalf("summary shape unexpected:\n%s", batch)
+	if !strings.Contains(batchSum, "counters: arrivals=") {
+		t.Fatalf("summary shape unexpected:\n%s", batchSum)
 	}
 }
 
@@ -405,5 +421,28 @@ func TestParseSystem(t *testing.T) {
 	}
 	if _, err := NewRunner(RunConfig{System: "NoHarvest", Workload: "BFS", SimMS: 10, StepMS: 0}, nil, 0); err == nil {
 		t.Fatal("runner built with zero step")
+	}
+}
+
+// TestDrainDeadlineOverflowRejected: a drain deadline whose picosecond
+// count does not fit the simulated clock (1e10 ms is 1e22 ps) used to wrap
+// to a negative delay and panic the loop in ScheduleCall. Enqueue, Replay
+// (with the offending line's number) and ReplayActions all refuse it.
+func TestDrainDeadlineOverflowRejected(t *testing.T) {
+	a := Action{Kind: ActDrain, Server: 1, DeadlineMS: 1e10}
+	r, err := NewRunner(routedCfg(), nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Enqueue(a); err == nil || !strings.Contains(err.Error(), "does not fit the simulated clock") {
+		t.Fatalf("Enqueue error = %v, want a clock-overflow rejection", err)
+	}
+	hdr := `{"hhsim_serve_log":1,"config":{"system":"HardHarvest-Block","workload":"BFS","seed":1,"warmup_ms":10,"sim_ms":20,"step_ms":10,"routed":true,"backends":2}}`
+	_, err = Replay(strings.NewReader(hdr + "\n" + `{"at":0,"kind":"drain","server":1,"deadline_ms":1e10}` + "\n"))
+	if err == nil || !strings.Contains(err.Error(), "line 2: serve: drain deadline_ms 1e+10 does not fit") {
+		t.Fatalf("Replay error = %v, want a line-numbered clock-overflow rejection", err)
+	}
+	if _, err := ReplayActions(routedCfg(), []Action{a}); err == nil {
+		t.Fatal("ReplayActions applied an overflowing drain")
 	}
 }

@@ -52,21 +52,7 @@ func renderGraphSummary(cfg RunConfig, results []*cluster.ServerResult, meters [
 	fmt.Fprintf(&b, "system=%s workload=%s seed=%d warmup=%dms measure=%dms step=%dms actions=%d\n",
 		cfg.System, cfg.Workload, cfg.Seed, cfg.WarmupMS, cfg.SimMS, cfg.StepMS, actions)
 	fmt.Fprintf(&b, "graph: %s tiers=%d servers=%d\n", cfg.Graph, len(gr.Tiers), len(results))
-	agg := obs.Counters{}
-	merged := obs.NewLatencyHist()
-	for i, res := range results {
-		c := meters[i].Counters()
-		agg.Add(&c)
-		merged.Merge(meters[i].Hist())
-		fmt.Fprintf(&b, "server %d\n", i)
-		fmt.Fprintf(&b, "  result: %s\n", res)
-		fmt.Fprintf(&b, "  counters: %s\n", c)
-		fmt.Fprintf(&b, "  latency:  %s\n", meters[i].Hist())
-		if res.InvariantViolations > 0 {
-			fmt.Fprintf(&b, "  INVARIANT VIOLATIONS: %d (first: %s)\n",
-				res.InvariantViolations, res.FirstViolation)
-		}
-	}
+	tail := writeServers(&b, results, meters, func(i int) string { return fmt.Sprintf("server %d", i) })
 	fmt.Fprintf(&b, "dag: generated=%d completed=%d failed=%d inflight=%d\n",
 		gr.Generated, gr.Completed, gr.Failed, gr.InflightEnd)
 	fmt.Fprintf(&b, "  rpcs: dispatched=%d done=%d shed=%d outstanding=%d\n",
@@ -78,8 +64,7 @@ func renderGraphSummary(cfg RunConfig, results []*cluster.ServerResult, meters [
 			tr.Name, tr.Servers, tr.VM, tr.Dispatches, tr.Dones, tr.Sheds,
 			tr.Hop.P50(), tr.Hop.P99())
 	}
-	fmt.Fprintf(&b, "fleet counters: %s\n", agg)
-	fmt.Fprintf(&b, "fleet latency:  %s\n", merged)
+	b.WriteString(tail)
 	fmt.Fprintf(&b, "oracle: %s\n", validate.GraphResultConservation("graph_conservation", gr))
 	return b.String()
 }
@@ -95,21 +80,9 @@ func renderRoutedSummary(cfg RunConfig, results []*cluster.ServerResult, meters 
 	fmt.Fprintf(&b, "system=%s workload=%s seed=%d warmup=%dms measure=%dms step=%dms actions=%d\n",
 		cfg.System, cfg.Workload, cfg.Seed, cfg.WarmupMS, cfg.SimMS, cfg.StepMS, actions)
 	fmt.Fprintf(&b, "fleet: backends=%d policy=%s\n", len(results), fr.Policy)
-	agg := obs.Counters{}
-	merged := obs.NewLatencyHist()
-	for i, res := range results {
-		c := meters[i].Counters()
-		agg.Add(&c)
-		merged.Merge(meters[i].Hist())
-		fmt.Fprintf(&b, "server %d [%s]\n", i, fr.Backends[i].Name)
-		fmt.Fprintf(&b, "  result: %s\n", res)
-		fmt.Fprintf(&b, "  counters: %s\n", c)
-		fmt.Fprintf(&b, "  latency:  %s\n", meters[i].Hist())
-		if res.InvariantViolations > 0 {
-			fmt.Fprintf(&b, "  INVARIANT VIOLATIONS: %d (first: %s)\n",
-				res.InvariantViolations, res.FirstViolation)
-		}
-	}
+	tail := writeServers(&b, results, meters, func(i int) string {
+		return fmt.Sprintf("server %d [%s]", i, fr.Backends[i].Name)
+	})
 	fmt.Fprintf(&b, "router: generated=%d dispatched=%d (initial=%d failovers=%d) completed=%d shed=%d lost=%d (at_admit=%d) inflight=%d\n",
 		fr.Generated, fr.Dispatches, fr.InitialDispatches, fr.Failovers,
 		fr.Completions, fr.Sheds, fr.Lost, fr.LostAtAdmit, fr.InflightEnd)
@@ -125,8 +98,30 @@ func renderRoutedSummary(cfg RunConfig, results []*cluster.ServerResult, meters 
 			br.ZombieDones+br.ZombieSheds, br.FailoversOut, br.Lost,
 			br.UnhealthySpells, br.Crashes, br.EdgeLatency.P99())
 	}
-	fmt.Fprintf(&b, "fleet counters: %s\n", agg)
-	fmt.Fprintf(&b, "fleet latency:  %s\n", merged)
+	b.WriteString(tail)
 	fmt.Fprintf(&b, "oracle: %s\n", fr.Conservation("fleet_conservation"))
 	return b.String()
+}
+
+// writeServers writes the per-server block both fleet summaries share, one
+// entry headed by header(i) per server, and returns the fleet tail: the
+// counters and latency aggregated over every server, which the caller
+// prints after its front door's section.
+func writeServers(b *strings.Builder, results []*cluster.ServerResult, meters []*obs.Meter, header func(i int) string) string {
+	agg := obs.Counters{}
+	merged := obs.NewLatencyHist()
+	for i, res := range results {
+		c := meters[i].Counters()
+		agg.Add(&c)
+		merged.Merge(meters[i].Hist())
+		fmt.Fprintf(b, "%s\n", header(i))
+		fmt.Fprintf(b, "  result: %s\n", res)
+		fmt.Fprintf(b, "  counters: %s\n", c)
+		fmt.Fprintf(b, "  latency:  %s\n", meters[i].Hist())
+		if res.InvariantViolations > 0 {
+			fmt.Fprintf(b, "  INVARIANT VIOLATIONS: %d (first: %s)\n",
+				res.InvariantViolations, res.FirstViolation)
+		}
+	}
+	return fmt.Sprintf("fleet counters: %s\nfleet latency:  %s\n", agg, merged)
 }

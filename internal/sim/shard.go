@@ -103,6 +103,16 @@ func (g *ShardGroup) Workers() int { return g.workers }
 // Members reports the number of members added.
 func (g *ShardGroup) Members() int { return len(g.members) }
 
+// Fired reports how many events the members' engines have executed in
+// total. Call it between Run calls, while no member is advancing.
+func (g *ShardGroup) Fired() uint64 {
+	var n uint64
+	for _, m := range g.members {
+		n += m.eng.Fired()
+	}
+	return n
+}
+
 // Add registers an engine whose events are self-contained model code: the
 // group advances it by calling eng.Run. Returns the member id used by Link
 // and Send.

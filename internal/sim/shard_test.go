@@ -346,3 +346,27 @@ func TestShardGroupWindowAllocFree(t *testing.T) {
 		t.Fatal("no messages crossed members during the measured steps")
 	}
 }
+
+// TestShardGroupFired: the group's fired count is the sum over its member
+// engines, read between Run calls.
+func TestShardGroupFired(t *testing.T) {
+	g := NewShardGroup(1)
+	a, b := NewEngine(), NewEngine()
+	for i := 1; i <= 3; i++ {
+		a.Schedule(Duration(i)*Microsecond, func() {})
+	}
+	b.Schedule(2*Microsecond, func() {})
+	g.Add(a)
+	g.Add(b)
+	if got := g.Fired(); got != 0 {
+		t.Fatalf("Fired before Run = %d, want 0", got)
+	}
+	g.Run(Time(2 * Microsecond))
+	if got, want := g.Fired(), a.Fired()+b.Fired(); got != 3 || got != want {
+		t.Fatalf("Fired = %d, want 3 (= %d over the members)", got, want)
+	}
+	g.Run(Time(5 * Microsecond))
+	if got := g.Fired(); got != 4 {
+		t.Fatalf("Fired at the horizon = %d, want 4", got)
+	}
+}
