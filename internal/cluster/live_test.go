@@ -118,6 +118,27 @@ func TestSetIntensity(t *testing.T) {
 			t.Fatalf("intensity %v accepted", bad)
 		}
 	}
+
+	// A vanishing intensity overflows every exponential gap; the gaps
+	// saturate past the horizon instead of wrapping to 1 ns, so the run
+	// finishes with no arrival after the change.
+	m := obs.NewMeter()
+	opts := SystemOptions(HardHarvestBlock)
+	opts.Observer = m
+	s = NewServer(liveConfig(), opts, bfs(t))
+	s.Start()
+	s.StepTo(sim.Time(0).Add(10 * sim.Millisecond))
+	if err := s.SetIntensity(1e-300); err != nil {
+		t.Fatal(err)
+	}
+	before := m.Counters().Arrivals
+	s.StepTo(s.Horizon())
+	s.Finish()
+	// Each VM may still deliver the arrival scheduled before the change,
+	// with its flash batch of up to 16 more.
+	if after := m.Counters().Arrivals; after > before+17*uint64(liveConfig().PrimaryVMs) {
+		t.Fatalf("arrivals kept coming after a vanishing intensity: %d -> %d", before, after)
+	}
 }
 
 func TestSetHarvestOnBlock(t *testing.T) {
@@ -223,4 +244,29 @@ func TestInjectFaultPlan(t *testing.T) {
 	}
 	s2.StepTo(s2.Horizon())
 	s2.Finish()
+}
+
+// TestCompoundedDegradeSaturates: overlapping core_degrade windows multiply
+// on their core, so seven at the largest valid factor scale a burst by
+// 1e21, past int64 picoseconds. The scaled burst saturates instead of
+// wrapping into a negative delay, which used to panic the engine.
+func TestCompoundedDegradeSaturates(t *testing.T) {
+	plan := &faults.Plan{}
+	for i := 0; i < 7; i++ {
+		plan.Events = append(plan.Events, faults.ScriptedEvent{AtMS: 1, Kind: "core_degrade", Core: 0, Factor: 1000, DurationMS: 20})
+	}
+	if err := plan.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	cfg := liveConfig()
+	cfg.Strict = true
+	s := NewServer(cfg, SystemOptions(HardHarvestBlock), bfs(t))
+	s.Start()
+	if err := s.InjectFaultPlan(plan, 0); err != nil {
+		t.Fatal(err)
+	}
+	s.StepTo(s.Horizon())
+	if res := s.Finish(); res.InvariantViolations != 0 {
+		t.Fatalf("%d invariant violations: %s", res.InvariantViolations, res.FirstViolation)
+	}
 }

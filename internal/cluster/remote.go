@@ -67,9 +67,8 @@ func (s *Server) AdmitRemote(vm int, remoteID uint64) {
 	r := s.newRequest()
 	r.id = s.reqSeq
 	r.vmIdx = v.idx
-	// Copy: inv.Phases aliases the sampling scratch, and the pooled request
-	// recycles its own phase slice.
-	r.phases = append(r.phases[:0], inv.Phases...)
+	// Copy: inv.Phases aliases the sampling scratch.
+	r.setPhases(inv.Phases)
 	r.arrival = s.now()
 	r.measured = s.measuring()
 	r.remoteID = remoteID

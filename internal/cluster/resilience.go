@@ -194,7 +194,7 @@ func (s *Server) spawnAttempt(c *call, kind obs.Kind) {
 	r := s.newRequest()
 	r.id = s.reqSeq
 	r.vmIdx = v.idx
-	r.phases = append(r.phases[:0], c.phases...)
+	r.setPhases(c.phases)
 	r.arrival = s.now()
 	r.measured = c.measured
 	r.call = c

@@ -256,11 +256,14 @@ type Server struct {
 
 	// reqFree recycles request objects (and their phase slices): a server
 	// simulates hundreds of thousands of requests but only a few hundred
-	// are ever in flight, so the pool caps steady-state allocation.
+	// are ever in flight, so the pool caps steady-state allocation. Fresh
+	// objects come from reqSlab in chunks while the pool grows.
 	reqFree []*request
+	reqSlab slab[request]
 	// pinFree recycles pin-release event payloads; each returns to the
 	// pool when its event fires.
 	pinFree []*pinRelease
+	pinSlab slab[pinRelease]
 
 	// moveBusyUntil serializes software core moves: hypervisor detach and
 	// attach operations take a global lock (§4.1.1), so moves queue behind
@@ -484,9 +487,9 @@ func (o Options) EventDriven() bool { return o.EventDrivenLend }
 
 func (s *Server) now() sim.Time { return s.eng.Now() }
 
-// newRequest takes a request object from the pool (or allocates one). The
-// caller fills every field it needs; pooled objects arrive zeroed except for
-// gen and the reusable phases capacity.
+// newRequest takes a request object from the pool (or carves a fresh one
+// from the request slab). The caller fills every field it needs; pooled
+// objects arrive zeroed except for gen and the reusable phases capacity.
 func (s *Server) newRequest() *request {
 	s.inv.created++
 	if n := len(s.reqFree); n > 0 {
@@ -494,7 +497,7 @@ func (s *Server) newRequest() *request {
 		s.reqFree = s.reqFree[:n-1]
 		return r
 	}
-	return &request{}
+	return s.reqSlab.alloc()
 }
 
 // freeRequest recycles a completed request. Only call it when no queue, core,
@@ -568,6 +571,12 @@ func (s *Server) Start() {
 
 	// Initial work: stock the Harvest VM's job queue and kick its cores.
 	if s.opts.HarvestVMActive {
+		// Set-up carves exactly the request objects the stock uses.
+		stock := jobStock * s.cfg.CoresPerServer
+		s.reqSlab.reserve(stock)
+		if s.hw != nil {
+			s.hw.hwSlab.reserve(stock)
+		}
 		s.refillJobs()
 		for _, c := range s.coresOf(s.harvestIdx) {
 			s.eng.ScheduleCall(0, s, opDispatch, c, nil)
@@ -789,9 +798,8 @@ func (s *Server) onArrival(v *vmRT, inv workload.Invocation) {
 	r.id = s.reqSeq
 	r.vmIdx = v.idx
 	// Copy: inv.Phases aliases the generator's sampling scratch (see
-	// workload.Generator.Next), and the pooled request recycles its own
-	// phase slice, so the copy is allocation-free at steady state.
-	r.phases = append(r.phases[:0], inv.Phases...)
+	// workload.Generator.Next).
+	r.setPhases(inv.Phases)
 	r.arrival = s.now()
 	r.measured = s.measuring()
 	s.setReqState(r, rsTransit)
@@ -1143,7 +1151,9 @@ func (s *Server) scaledBurst(c *coreRT, r *request, raw sim.Duration) sim.Durati
 		// Injected core degradation (thermal throttling, interference).
 		base *= c.degradeFactor
 	}
-	return sim.Duration(scaled * base)
+	// Overlapping degradations compound, so the product saturates rather
+	// than wrapping into a negative delay.
+	return sim.Span(scaled * base)
 }
 
 func (s *Server) runBurst(c *coreRT, r *request) {
@@ -1220,7 +1230,7 @@ func (s *Server) onBurstEnd(c *coreRT, r *request) {
 		io := ph.IO
 		if s.faultIOUntil > s.now() {
 			// An I/O straggler fault is active: the backend answers slowly.
-			io = sim.Duration(float64(io) * s.faultIOFactor)
+			io = sim.Span(float64(io) * s.faultIOFactor)
 		}
 		v.running--
 		v.blocked++
@@ -1325,7 +1335,7 @@ func (s *Server) refillJobs() {
 		job.vmIdx = s.harvestIdx
 		job.isJob = true
 		job.arrival = s.now()
-		job.phases = append(job.phases[:0], workload.Phase{CPU: s.hwork.SampleJob(s.jobRNG)})
+		job.setPhases([]workload.Phase{{CPU: s.hwork.SampleJob(s.jobRNG)}})
 		s.setReqState(job, rsQueued)
 		if s.obs != nil {
 			s.ev(obs.KindEnqueue, job, -1, 0)
@@ -1529,7 +1539,7 @@ func (s *Server) schedulePinRelease(v *vmRT, r *request, d sim.Duration) {
 		pr = s.pinFree[n-1]
 		s.pinFree = s.pinFree[:n-1]
 	} else {
-		pr = &pinRelease{}
+		pr = s.pinSlab.alloc()
 	}
 	*pr = pinRelease{v: v, r: r, gen: r.gen}
 	s.eng.ScheduleCall(d, s, opPinRelease, nil, pr)

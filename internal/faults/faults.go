@@ -136,6 +136,14 @@ type Plan struct {
 // into an unbounded event schedule.
 const maxRatePerSec = 20000
 
+// maxFactor bounds the core_degrade and io_straggler multipliers: a
+// millisecond-scale service time scaled by it stays many orders of
+// magnitude inside the simulated clock, where a factor like 1e300 would
+// carry it past int64.
+const maxFactor = 1000
+
+func validFactor(f float64) bool { return f >= 1 && f <= maxFactor }
+
 // Parse decodes and validates a JSON plan. Unknown fields, type
 // mismatches, and semantic errors are reported with field- or
 // offset-level context so a bad plan fails fast, before any simulation.
@@ -211,8 +219,8 @@ func (p *Plan) Validate() error {
 			return fmt.Errorf("%s.rate_per_s: must be <= %d, got %g", fs.name, maxRatePerSec, s.RatePerSec)
 		case fs.needsDur && s.DurationMS <= 0:
 			return fmt.Errorf("%s.duration_ms: must be positive, got %g", fs.name, s.DurationMS)
-		case fs.needsFactor && s.Factor < 1:
-			return fmt.Errorf("%s.factor: must be >= 1, got %g", fs.name, s.Factor)
+		case fs.needsFactor && !validFactor(s.Factor):
+			return fmt.Errorf("%s.factor: must be in [1, %d], got %g", fs.name, maxFactor, s.Factor)
 		case fs.needsCount && s.Count < 1:
 			return fmt.Errorf("%s.count: must be >= 1, got %d", fs.name, s.Count)
 		case s.SpanMS < 0:
@@ -247,8 +255,8 @@ func (p *Plan) Validate() error {
 		}
 		switch k {
 		case CoreDegrade, IOStraggler:
-			if ev.Factor < 1 {
-				return fmt.Errorf("events[%d].factor: must be >= 1 for %s, got %g", i, k, ev.Factor)
+			if !validFactor(ev.Factor) {
+				return fmt.Errorf("events[%d].factor: must be in [1, %d] for %s, got %g", i, maxFactor, k, ev.Factor)
 			}
 		}
 		if (k == CoreDegrade || k == CoreOffline) && ev.Core < 0 {

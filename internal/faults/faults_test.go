@@ -108,6 +108,10 @@ func TestValidateFieldErrors(t *testing.T) {
 		{"bad event kind", Plan{Events: []ScriptedEvent{{Kind: "meteor"}}}, "events[0].kind"},
 		{"event missing dur", Plan{Events: []ScriptedEvent{{Kind: "core_offline"}}}, "events[0].duration_ms"},
 		{"event bad factor", Plan{Events: []ScriptedEvent{{Kind: "io_straggler", DurationMS: 1, Factor: 0.2}}}, "events[0].factor"},
+		{"huge factor", Plan{CoreDegrade: &Spec{RatePerSec: 1, DurationMS: 1, Factor: 1e300}}, "core_degrade.factor: must be in [1, 1000], got 1e+300"},
+		{"huge straggler factor", Plan{IOStraggler: &Spec{RatePerSec: 1, DurationMS: 1, Factor: 1001}}, "io_straggler.factor: must be in [1, 1000]"},
+		{"event huge factor", Plan{Events: []ScriptedEvent{{Kind: "core_degrade", DurationMS: 1, Factor: 1e300}}}, "events[0].factor: must be in [1, 1000] for core_degrade, got 1e+300"},
+		{"event huge straggler factor", Plan{Events: []ScriptedEvent{{Kind: "io_straggler", DurationMS: 1, Factor: 2e3}}}, "events[0].factor: must be in [1, 1000] for io_straggler"},
 		{"event negative time", Plan{Events: []ScriptedEvent{{Kind: "preempt_storm", AtMS: -1}}}, "events[0].at_ms"},
 		{"duration past the clock", Plan{CoreOffline: &Spec{RatePerSec: 1, DurationMS: 1e10}}, "core_offline.duration_ms: 1e+10 ms does not fit"},
 		{"span past the clock", Plan{Burst: &Spec{RatePerSec: 1, DurationMS: 1, Count: 2, SpanMS: 1e10}}, "burst.span_ms: 1e+10 ms does not fit"},

@@ -61,9 +61,7 @@ func (h *LatencyHist) Record(d sim.Duration) {
 	}
 	i := bucketOf(int64(d))
 	if i >= len(h.buckets) {
-		grown := make([]uint64, i+1)
-		copy(grown, h.buckets)
-		h.buckets = grown
+		h.grow(i + 1)
 	}
 	h.buckets[i]++
 	h.count++
@@ -74,6 +72,19 @@ func (h *LatencyHist) Record(d sim.Duration) {
 	if d > h.max {
 		h.max = d
 	}
+}
+
+// grow extends the bucket slice to n buckets. The backing array grows
+// geometrically, so a run of ever-larger maxima reallocates O(log n)
+// times; buckets past len are never written, so they are still zero when
+// a later grow takes them in.
+func (h *LatencyHist) grow(n int) {
+	if n > cap(h.buckets) {
+		grown := make([]uint64, len(h.buckets), max(n, 2*cap(h.buckets)))
+		copy(grown, h.buckets)
+		h.buckets = grown
+	}
+	h.buckets = h.buckets[:n]
 }
 
 // Count reports recorded samples.
@@ -156,9 +167,7 @@ func (h *LatencyHist) Merge(o *LatencyHist) {
 		return
 	}
 	if len(o.buckets) > len(h.buckets) {
-		grown := make([]uint64, len(o.buckets))
-		copy(grown, h.buckets)
-		h.buckets = grown
+		h.grow(len(o.buckets))
 	}
 	for i, c := range o.buckets {
 		h.buckets[i] += c

@@ -238,3 +238,31 @@ func TestHistMergeEqualsCombinedRecording(t *testing.T) {
 		t.Errorf("merge into empty diverged: %s vs %s", c.String(), both.String())
 	}
 }
+
+// TestRecordGrowthAmortised: recording ever-larger values, then ever-
+// smaller ones, reallocates the bucket slice O(log n) times, not once per
+// new maximum.
+func TestRecordGrowthAmortised(t *testing.T) {
+	const n = 10000
+	var buckets int
+	allocs := testing.AllocsPerRun(1, func() {
+		h := NewLatencyHist()
+		v := 1000.0
+		for i := 0; i < n; i++ {
+			h.Record(sim.Duration(v))
+			v *= 1.001
+		}
+		for i := 0; i < n; i++ {
+			v /= 1.001
+			h.Record(sim.Duration(v))
+		}
+		buckets = len(h.buckets)
+	})
+	if want := bucketOf(int64(1000 * math.Pow(1.001, n-1))); buckets != want+1 {
+		t.Fatalf("%d buckets, want %d", buckets, want+1)
+	}
+	// One for the histogram, one per doubling of the bucket slice.
+	if limit := 2 + math.Log2(float64(buckets)); allocs > limit {
+		t.Fatalf("%v allocations for %d buckets, want at most %.0f", allocs, buckets, limit)
+	}
+}

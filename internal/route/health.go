@@ -90,11 +90,15 @@ type prober struct {
 	b  *backendRT
 }
 
-// OnEvent answers one health probe (sim.Callback, server engine).
-func (p *prober) OnEvent(_ int32, a, _ any) {
-	m := a.(*probeMsg)
-	p.rt.FromBackend(p.b.Port, p.rt, rOpProbeReply,
-		&probeReply{backend: m.backend, ok: !p.b.Server.Crashed()})
+// OnEvent answers one health probe (sim.Callback, server engine). The
+// probe and its answer carry no payload: the prober's own backend is the
+// probed one, and the reply's op code says whether the probe passed.
+func (p *prober) OnEvent(int32, any, any) {
+	op := rOpProbeOK
+	if p.b.Server.Crashed() {
+		op = rOpProbeFail
+	}
+	p.rt.FromBackend(p.b.Port, p.rt, op, p.b)
 }
 
 // probeTick sends one health probe to every backend, in index order, and
@@ -103,16 +107,15 @@ func (rt *Router) probeTick() {
 	for _, b := range rt.backends {
 		b.probes++
 		rt.probes++
-		rt.ToBackend(b.Port, b.prober, 0, &probeMsg{backend: b.Idx})
+		rt.ToBackend(b.Port, b.prober, 0, nil)
 	}
 	if rt.Now().Add(rt.cfg.ProbeInterval) <= rt.Horizon() {
 		rt.Engine().ScheduleCall(rt.cfg.ProbeInterval, rt, rOpProbeTick, nil, nil)
 	}
 }
 
-func (rt *Router) onProbeReply(m *probeReply) {
-	b := rt.backends[m.backend]
-	if m.ok {
+func (rt *Router) onProbeReply(b *backendRT, ok bool) {
+	if ok {
 		b.okStreak++
 		b.failStreak = 0
 		if !b.healthy && b.okStreak >= rt.cfg.HealthyAfter {

@@ -150,3 +150,60 @@ func TestRoutedRoundTripAllocFree(t *testing.T) {
 		t.Fatalf("only %d requests completed in %d steps", got, runs+1)
 	}
 }
+
+// probeKick runs one health-probe round from inside a router event
+// (sim.Callback, router engine).
+type probeKick struct{ rt *Router }
+
+func (k probeKick) OnEvent(int32, any, any) { k.rt.probeTick() }
+
+// TestProbeRoundAllocFree: a health-probe round — one probe to every
+// backend and every answer, passed and failed — carries no payload and
+// allocates nothing once the inboxes are warm. One of the two backends
+// sits inside a crash window, so its probes fail. The regular probe
+// schedule is pushed past the horizon, so each measured step carries
+// exactly one round.
+func TestProbeRoundAllocFree(t *testing.T) {
+	var servers []*cluster.Server
+	var specs []Backend
+	for i := 0; i < 2; i++ {
+		cfg := cluster.DefaultConfig()
+		cfg.Seed = uint64(20 + i)
+		cfg.WarmupDuration = 2 * sim.Millisecond
+		cfg.MeasureDuration = sim.Second
+		if i == 1 {
+			cfg.FaultPlan = &faults.Plan{Events: []faults.ScriptedEvent{{Kind: "crash", DurationMS: 2000}}}
+		}
+		opts := cluster.SystemOptions(cluster.HardHarvestBlock)
+		opts.RemoteAdmission = true
+		srv := cluster.NewServer(cfg, opts, testBatch(t))
+		servers = append(servers, srv)
+		specs = append(specs, Backend{Server: srv, Cfg: cfg, Name: "srv"})
+	}
+	rc := DefaultConfig()
+	rc.ProbeInterval = 10 * sim.Second
+	rt := New(rc, specs)
+	rt.SetIntensityAll(1e-9)
+	g := sim.NewShardGroup(1)
+	front.Wire(g, rt, servers)
+	now := sim.Time(0)
+	step := func() {
+		rt.Engine().CallAt(now, probeKick{rt}, 0, nil, nil)
+		now = now.Add(sim.Millisecond)
+		g.Run(now)
+	}
+	for i := 0; i < 50; i++ {
+		step() // warm: the inboxes and the engines' slabs
+	}
+	const runs = 100
+	probes, fails := rt.probes, rt.probeFails
+	if avg := testing.AllocsPerRun(runs, step); avg != 0 {
+		t.Fatalf("probe round allocates %.0f, want 0", avg)
+	}
+	if got := rt.probes - probes; got != 2*(runs+1) {
+		t.Fatalf("%d probes sent in %d rounds, want %d", got, runs+1, 2*(runs+1))
+	}
+	if got := rt.probeFails - fails; got != runs+1 {
+		t.Fatalf("%d probes failed in %d rounds, want %d (the crashed backend's)", got, runs+1, runs+1)
+	}
+}

@@ -117,16 +117,10 @@ const (
 	rOpProbeTick     int32 = iota // periodic health-check round
 	rOpReadmit                    // a: *backendRT — ejection backoff elapsed
 	rOpDrainDeadline              // a: *backendRT — drain deadline reached
-	rOpProbeReply                 // a: *probeReply — health probe answer
+	rOpProbeOK                    // a: *backendRT — health probe passed
+	rOpProbeFail                  // a: *backendRT — health probe failed
 	rOpCrash                      // a: *crashMsg — crash/recovery notification
 )
-
-type probeMsg struct{ backend int }
-
-type probeReply struct {
-	backend int
-	ok      bool
-}
 
 type crashMsg struct {
 	backend int
@@ -253,8 +247,8 @@ func (rt *Router) OnEvent(op int32, a, b any) {
 		rt.readmit(a.(*backendRT))
 	case rOpDrainDeadline:
 		rt.drainDeadline(a.(*backendRT))
-	case rOpProbeReply:
-		rt.onProbeReply(a.(*probeReply))
+	case rOpProbeOK, rOpProbeFail:
+		rt.onProbeReply(a.(*backendRT), op == rOpProbeOK)
 	case rOpCrash:
 		rt.onCrash(a.(*crashMsg))
 	default:

@@ -15,6 +15,7 @@ import (
 	"hardharvest/internal/faults"
 	"hardharvest/internal/route"
 	"hardharvest/internal/sim"
+	"hardharvest/internal/workload"
 )
 
 // Scenario is one parsed, semantically validated scenario document.
@@ -872,8 +873,8 @@ func (sc *Scenario) validateTimeline(e *TimelineEntry, path string) error {
 	}
 	switch e.Kind {
 	case TlIntensity:
-		if e.Intensity <= 0 {
-			return errAt(e.line, path+".intensity", "must be positive, got %g", e.Intensity)
+		if err := workload.CheckIntensity(e.Intensity); err != nil {
+			return errAt(e.line, path+".intensity", "%v", err)
 		}
 		if e.Factor != 0 || e.DurationMS != 0 {
 			return errAt(e.line, path, "factor/duration_ms only apply to kind %q", TlFlashCrowd)
@@ -892,8 +893,8 @@ func (sc *Scenario) validateTimeline(e *TimelineEntry, path string) error {
 			return err
 		}
 	case TlVMIntensity:
-		if e.Intensity <= 0 {
-			return errAt(e.line, path+".intensity", "must be positive, got %g", e.Intensity)
+		if err := workload.CheckIntensity(e.Intensity); err != nil {
+			return errAt(e.line, path+".intensity", "%v", err)
 		}
 		if e.VM < 0 {
 			return errAt(e.line, path+".vm", "must be non-negative, got %d", e.VM)

@@ -30,6 +30,7 @@ import (
 	"hardharvest/internal/obs"
 	"hardharvest/internal/route"
 	"hardharvest/internal/sim"
+	"hardharvest/internal/workload"
 )
 
 // RunConfig identifies a served run completely: the same config plus the
@@ -234,8 +235,8 @@ func (a Action) validate() error {
 	}
 	switch a.Kind {
 	case ActIntensity:
-		if !(a.Intensity > 0) {
-			return fmt.Errorf("serve: intensity must be positive, got %v", a.Intensity)
+		if err := workload.CheckIntensity(a.Intensity); err != nil {
+			return fmt.Errorf("serve: intensity: %w", err)
 		}
 	case ActHarvestOnBlock, ActResilience:
 		// any On value is valid

@@ -409,6 +409,29 @@ func TestActionValidation(t *testing.T) {
 	}
 }
 
+// TestVanishingIntensity: an intensity whose exponential gaps overflow the
+// simulated clock used to wrap each gap negative, clamp it to 1 ns and
+// flood the run forever. Enqueue, Replay (with the offending line's
+// number) and ReplayActions all refuse it.
+func TestVanishingIntensity(t *testing.T) {
+	a := Action{Kind: ActIntensity, Intensity: 1e-300}
+	r, err := NewRunner(quickCfg(), nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Enqueue(a); err == nil || !strings.Contains(err.Error(), "at least 1e-06") {
+		t.Fatalf("Enqueue error = %v, want a minimum-intensity rejection", err)
+	}
+	hdr := `{"hhsim_serve_log":1,"config":{"system":"HardHarvest-Block","workload":"BFS","seed":1,"warmup_ms":10,"sim_ms":20,"step_ms":10}}`
+	_, err = Replay(strings.NewReader(hdr + "\n" + `{"at":0,"kind":"intensity","intensity":1e-300}` + "\n"))
+	if err == nil || !strings.Contains(err.Error(), "line 2: serve: intensity: must be positive") {
+		t.Fatalf("Replay error = %v, want a line-numbered intensity rejection", err)
+	}
+	if _, err := ReplayActions(quickCfg(), []Action{a}); err == nil {
+		t.Fatal("ReplayActions applied a vanishing intensity")
+	}
+}
+
 func TestParseSystem(t *testing.T) {
 	if _, err := ParseSystem("HardHarvest-Block"); err != nil {
 		t.Fatal(err)

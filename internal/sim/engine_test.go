@@ -64,6 +64,27 @@ func TestFromMilliseconds(t *testing.T) {
 	}
 }
 
+// TestSpan: scaled picosecond counts convert exactly while they fit and
+// saturate at maxSpan, never wrapping negative, once they do not.
+func TestSpan(t *testing.T) {
+	for _, c := range []struct {
+		ps   float64
+		want Duration
+	}{
+		{0, 0},
+		{1.5e9, 1_500_000_000},
+		{float64(maxSpan) / 2, maxSpan / 2},
+		{float64(maxSpan), maxSpan},
+		{1e300, maxSpan},
+		{math.Inf(1), maxSpan},
+		{math.NaN(), maxSpan},
+	} {
+		if got := Span(c.ps); got != c.want {
+			t.Errorf("Span(%g) = %d, want %d", c.ps, got, c.want)
+		}
+	}
+}
+
 func TestDurationString(t *testing.T) {
 	cases := []struct {
 		d    Duration

@@ -86,6 +86,18 @@ func FromMilliseconds(ms float64) (Duration, bool) {
 	return Duration(ps), true
 }
 
+// Span converts a non-negative picosecond count to a Duration, saturating
+// at maxSpan where a plain conversion would wrap negative (NaN saturates
+// too). Model code that scales a duration by a factor or a rate uses it,
+// so an extreme product delays an event past every horizon instead of
+// wrapping into a negative delay.
+func Span(ps float64) Duration {
+	if !(ps < float64(maxSpan)) {
+		return maxSpan
+	}
+	return Duration(ps)
+}
+
 // Add returns the time d after t.
 func (t Time) Add(d Duration) Time { return t + Time(d) }
 

@@ -35,10 +35,14 @@ const SketchRelativeError = 1.0 / (1 << sketchSubBits)
 type Sketch struct {
 	counts []uint64 // dense window; counts[i] covers global bucket base+i
 	base   int      // global index of counts[0]
-	count  uint64
-	sum    float64
-	min    float64
-	max    float64
+	// buf backs counts with headroom on both sides: counts is
+	// buf[lo:lo+len(counts)], and every slot of buf outside it is zero.
+	buf   []uint64
+	lo    int
+	count uint64
+	sum   float64
+	min   float64
+	max   float64
 }
 
 // NewSketch returns an empty sketch.
@@ -85,25 +89,37 @@ func (s *Sketch) Add(v float64) {
 
 // bump adds n to global bucket i, growing the dense window to reach it.
 func (s *Sketch) bump(i int, n uint64) {
-	if len(s.counts) == 0 {
-		s.counts = append(s.counts, 0)
-		s.base = i
-	}
-	for i < s.base {
-		// Extend toward zero: shift the window right.
-		need := s.base - i
-		s.counts = append(s.counts, make([]uint64, need)...)
-		copy(s.counts[need:], s.counts[:len(s.counts)-need])
-		for k := 0; k < need; k++ {
-			s.counts[k] = 0
+	switch {
+	case len(s.counts) == 0:
+		if len(s.buf) == 0 {
+			s.buf = make([]uint64, 1<<sketchSubBits)
 		}
-		s.base = i
-	}
-	for i >= s.base+len(s.counts) {
-		need := i - (s.base + len(s.counts)) + 1
-		s.counts = append(s.counts, make([]uint64, need)...)
+		s.base, s.lo = i, len(s.buf)/2
+		s.counts = s.buf[s.lo : s.lo+1]
+	case i < s.base:
+		s.widen(i, s.base+len(s.counts))
+	case i >= s.base+len(s.counts):
+		s.widen(s.base, i+1)
 	}
 	s.counts[i-s.base] += n
+}
+
+// widen grows the window to cover global buckets [first, end), a superset
+// of the current window. It takes the headroom buf has on either side;
+// without enough, it moves the window to the middle of a fresh buf twice
+// the new window's length, so samples walking outward in either direction
+// reallocate O(log n) times for a window of n buckets.
+func (s *Sketch) widen(first, end int) {
+	lo := s.lo - (s.base - first)
+	if lo < 0 || lo+end-first > len(s.buf) {
+		n := end - first
+		buf := make([]uint64, 2*n)
+		lo = n / 2
+		copy(buf[lo+s.base-first:], s.counts)
+		s.buf = buf
+	}
+	s.base, s.lo = first, lo
+	s.counts = s.buf[lo : lo+end-first]
 }
 
 // Count reports recorded samples.

@@ -213,3 +213,31 @@ func TestSketchBucketMonotone(t *testing.T) {
 		prevV, prevB = v, b
 	}
 }
+
+// TestSketchGrowthAmortised: samples walking outward from the first one,
+// up and then down, widen the bucket window O(log n) times in each
+// direction, not once per new extreme, and the window stays exactly the
+// populated range.
+func TestSketchGrowthAmortised(t *testing.T) {
+	const n = 10000
+	var window int
+	allocs := testing.AllocsPerRun(1, func() {
+		s := NewSketch()
+		for i, v := 0, 1000.0; i < n; i, v = i+1, v*1.001 {
+			s.Add(v)
+		}
+		for i, v := 0, 1000.0; i < n; i, v = i+1, v/1.001 {
+			s.Add(v)
+		}
+		window = s.Buckets()
+	})
+	lo, hi := sketchBucket(1000/math.Pow(1.001, n-1)), sketchBucket(1000*math.Pow(1.001, n-1))
+	if window != hi-lo+1 {
+		t.Fatalf("window of %d buckets, want %d", window, hi-lo+1)
+	}
+	// One for the sketch, one for the first window, then one per doubling
+	// in each direction.
+	if limit := 2 + 2*math.Log2(float64(window)); allocs > limit {
+		t.Fatalf("%v allocations for a %d-bucket window, want at most %.0f", allocs, window, limit)
+	}
+}

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 
 	"hardharvest/internal/sim"
@@ -102,15 +103,41 @@ func (g *Generator) rateAt(t sim.Time) float64 {
 // The returned invocation's phases alias a generator-owned scratch buffer
 // and stay valid only until the following Next call; consumers that keep an
 // invocation across arrivals must copy the phases out.
+//
+// A gap too long for the simulated clock (a vanishing rate) saturates
+// (sim.Span) instead of wrapping negative, and so does the cursor, so such
+// an arrival lands past every horizon.
 func (g *Generator) Next() Arrival {
 	rate := g.rateAt(g.cursor)
 	gapSec := g.rng.Exp(1 / rate)
-	gap := sim.Duration(gapSec * float64(sim.Second))
+	gap := sim.Span(gapSec * float64(sim.Second))
 	if gap < sim.Nanosecond {
 		gap = sim.Nanosecond
 	}
-	g.cursor = g.cursor.Add(gap)
+	if g.cursor <= math.MaxInt64-sim.Time(gap) {
+		g.cursor = g.cursor.Add(gap)
+	} else {
+		g.cursor = math.MaxInt64
+	}
 	return Arrival{At: g.cursor, Inv: g.profile.SampleInto(g.rng, &g.scratch)}
+}
+
+// MinIntensity is the smallest offered-load multiplier the external
+// control surfaces (scenario timelines, hhsim serve's config and replay)
+// accept. At the lowest rate a generator can run (a trace trough at 2% of
+// a one-core VM's base rate of at least 60 req/s), the mean inter-arrival
+// gap at MinIntensity is already about ten simulated days; much below it,
+// draws past the simulated clock's range become common and the VM is as
+// good as silent.
+const MinIntensity = 1e-6
+
+// CheckIntensity reports why x cannot be an offered-load multiplier set
+// from outside the program, or nil.
+func CheckIntensity(x float64) error {
+	if !(x >= MinIntensity) || math.IsInf(x, 1) {
+		return fmt.Errorf("must be positive, finite and at least %g, got %g", MinIntensity, x)
+	}
+	return nil
 }
 
 // Reset rewinds the generator's clock without reseeding.

@@ -157,7 +157,7 @@ func (inv Invocation) IOCalls() int {
 // scratch, so each call invalidates the previous call's phases.
 type SampleScratch struct {
 	phases  []Phase
-	weights []float64
+	weights []float64 // same capacity as phases
 }
 
 // Sample draws one invocation: the total CPU time is log-normal around
@@ -178,10 +178,10 @@ func (p *Profile) SampleInto(rng *stats.RNG, s *SampleScratch) Invocation {
 	totalCPU := lognormalWithMean(rng, float64(p.MeanCPU), p.CPUSigma)
 	nIO := samplePoisson(rng, p.MeanIOCalls)
 	if cap(s.phases) < nIO+1 {
-		s.phases = make([]Phase, nIO+1)
-	}
-	if cap(s.weights) < nIO+1 {
-		s.weights = make([]float64, nIO+1)
+		// Headroom: growing to exactly nIO+1 would reallocate on every
+		// new maximum the Poisson draw reaches.
+		s.phases = make([]Phase, 2*(nIO+1))
+		s.weights = make([]float64, 2*(nIO+1))
 	}
 	phases := s.phases[:nIO+1]
 	weights := s.weights[:nIO+1]

@@ -159,6 +159,35 @@ func TestGeneratorModulation(t *testing.T) {
 	}
 }
 
+// TestGeneratorVanishingRateSaturates: an intensity so small that the
+// exponential gap overflows sim.Duration used to wrap the gap negative,
+// clamp it to 1 ns and flood the run with arrivals. The gap and the cursor
+// now saturate: every arrival lands past any reachable horizon, and
+// further calls stay there instead of wrapping.
+func TestGeneratorVanishingRateSaturates(t *testing.T) {
+	p, _ := ProfileByName("Text")
+	g := NewGenerator(p, 4, nil, 0, stats.NewRNG(7))
+	g.SetIntensity(1e-300)
+	for i := 0; i < 4; i++ {
+		if a := g.Next(); a.At < sim.Time(1<<62) {
+			t.Fatalf("call %d: arrival at %d ps, want past the clock's span", i, a.At)
+		}
+	}
+}
+
+func TestCheckIntensity(t *testing.T) {
+	for _, x := range []float64{MinIntensity, 0.25, 1, 40} {
+		if err := CheckIntensity(x); err != nil {
+			t.Errorf("CheckIntensity(%g) = %v, want nil", x, err)
+		}
+	}
+	for _, x := range []float64{0, -1, 1e-300, MinIntensity / 2, math.Inf(1), math.NaN()} {
+		if err := CheckIntensity(x); err == nil {
+			t.Errorf("CheckIntensity(%g) accepted", x)
+		}
+	}
+}
+
 func TestGeneratorReset(t *testing.T) {
 	p, _ := ProfileByName("Text")
 	g := NewGenerator(p, 4, nil, 0, stats.NewRNG(6))
