@@ -116,18 +116,18 @@ type backend interface {
 type hwBackend struct {
 	ctrl *core.Controller
 	// reqs maps a controller-side request's ID back to the cluster request
-	// it carries (nil while the object waits in hwFree). Each core.Request
-	// object is given its slot ID once, when allocHW first creates it.
+	// it carries (nil while the object waits in the pool). Each core.Request
+	// object is given its slot ID once, when allocHW first sees it fresh;
+	// IDs start at 1, so reqs[0] stays nil and a zero ID marks a fresh
+	// object.
 	reqs []*request
-	// hwFree recycles controller-side request objects: one is live per
+	// pool recycles controller-side request objects: one is live per
 	// in-flight request, so completions feed enqueues without allocating.
-	// Fresh objects come from hwSlab in chunks while the pool grows.
-	hwFree []*core.Request
-	hwSlab slab[core.Request]
+	pool sim.Pool[core.Request]
 }
 
 func newHWBackend(cfg Config) *hwBackend {
-	return &hwBackend{ctrl: core.DefaultController()}
+	return &hwBackend{ctrl: core.DefaultController(), reqs: []*request{nil}}
 }
 
 func (b *hwBackend) addVM(vmIdx int, isPrimary bool, mask core.HarvestMask) {
@@ -155,14 +155,11 @@ func (b *hwBackend) enqueue(r *request) (wakeInfo, bool) {
 }
 
 func (b *hwBackend) allocHW() *core.Request {
-	if n := len(b.hwFree); n > 0 {
-		hw := b.hwFree[n-1]
-		b.hwFree = b.hwFree[:n-1]
-		return hw
+	hw := b.pool.Get()
+	if hw.ID == 0 {
+		hw.ID = core.ReqID(len(b.reqs))
+		b.reqs = append(b.reqs, nil)
 	}
-	b.reqs = append(b.reqs, nil)
-	hw := b.hwSlab.alloc()
-	hw.ID = core.ReqID(len(b.reqs) - 1)
 	return hw
 }
 
@@ -193,7 +190,7 @@ func (b *hwBackend) complete(coreID int, r *request) {
 		panic(err)
 	}
 	b.reqs[r.hw.ID] = nil
-	b.hwFree = append(b.hwFree, r.hw)
+	b.pool.Put(r.hw)
 	r.hw = nil
 }
 

@@ -28,6 +28,11 @@ type ClusterResult struct {
 	BusyCores float64
 }
 
+// ServerSeed derives fleet server i's seed from the run's seed. Server 0
+// runs with the run's own seed; every fleet builder seeds its servers this
+// way, so a server's stream depends only on its position in the fleet.
+func ServerSeed(seed uint64, i int) uint64 { return seed + uint64(i)*7919 }
+
 // RunCluster simulates the full 8-server cluster of the evaluation. The
 // servers never communicate (microservices only talk within a server, §5),
 // so they run in parallel, one per batch workload, as members of one
@@ -40,7 +45,7 @@ func RunCluster(cfg Config, opts Options, servers int) *ClusterResult {
 	}
 	seeded := func(i int) Config {
 		scfg := cfg
-		scfg.Seed = cfg.Seed + uint64(i)*7919
+		scfg.Seed = ServerSeed(cfg.Seed, i)
 		return scfg
 	}
 	results := make([]*ServerResult, servers)

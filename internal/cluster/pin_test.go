@@ -55,8 +55,8 @@ func TestStalePinReleaseIsNoOp(t *testing.T) {
 	if s.pinWaitSum != 0 || b.reassign != 0 {
 		t.Fatalf("a stale release accounted a pin wait: sum %v, reassign %v", s.pinWaitSum, b.reassign)
 	}
-	if s.eng.Pending() != 0 || len(s.pinFree) != releases {
-		t.Fatalf("%d events pending, %d of %d release payloads pooled", s.eng.Pending(), len(s.pinFree), releases)
+	if s.eng.Pending() != 0 || len(s.pinPool.Free()) != releases {
+		t.Fatalf("%d events pending, %d of %d release payloads pooled", s.eng.Pending(), len(s.pinPool.Free()), releases)
 	}
 	if s.inv.violations != 0 {
 		t.Fatalf("invariant violation: %s", s.inv.firstMsg)

@@ -132,19 +132,9 @@ type call struct {
 	retryEv   sim.Event
 }
 
-// newCall takes a call object from the pool.
-func (s *Server) newCall() *call {
-	if n := len(s.callFree); n > 0 {
-		c := s.callFree[n-1]
-		s.callFree = s.callFree[:n-1]
-		return c
-	}
-	return &call{}
-}
-
 func (s *Server) freeCall(c *call) {
 	*c = call{phases: c.phases[:0]}
-	s.callFree = append(s.callFree, c)
+	s.callPool.Put(c)
 }
 
 // cancelCallEv cancels a pending call timer and clears the handle. The
@@ -163,7 +153,7 @@ func (s *Server) cancelCallEv(ev *sim.Event) {
 func (s *Server) onArrivalResilient(v *vmRT, inv workload.Invocation) {
 	s.arrivals++ // counts calls, matching the non-resilient meaning
 	s.callSeq++
-	c := s.newCall()
+	c := s.callPool.Get()
 	c.id = s.callSeq
 	c.vmIdx = v.idx
 	c.phases = append(c.phases[:0], inv.Phases...)

@@ -254,16 +254,13 @@ type Server struct {
 	coreWinStart []CoreCycles
 	coreWinEnd   []CoreCycles
 
-	// reqFree recycles request objects (and their phase slices): a server
+	// reqPool recycles request objects (and their phase slices): a server
 	// simulates hundreds of thousands of requests but only a few hundred
-	// are ever in flight, so the pool caps steady-state allocation. Fresh
-	// objects come from reqSlab in chunks while the pool grows.
-	reqFree []*request
-	reqSlab slab[request]
-	// pinFree recycles pin-release event payloads; each returns to the
+	// are ever in flight, so the pool caps steady-state allocation.
+	reqPool sim.Pool[request]
+	// pinPool recycles pin-release event payloads; each returns to the
 	// pool when its event fires.
-	pinFree []*pinRelease
-	pinSlab slab[pinRelease]
+	pinPool sim.Pool[pinRelease]
 
 	// moveBusyUntil serializes software core moves: hypervisor detach and
 	// attach operations take a global lock (§4.1.1), so moves queue behind
@@ -294,7 +291,7 @@ type Server struct {
 	// calls are pooled like requests; resRNG drives backoff jitter.
 	resOn          bool
 	resRNG         *stats.RNG
-	callFree       []*call
+	callPool       sim.Pool[call]
 	callSeq        uint64
 	sheds          uint64
 	retries        uint64
@@ -415,7 +412,7 @@ func NewServer(cfg Config, opts Options, work *batch.Workload) *Server {
 	}
 
 	s.util = metrics.NewUtilization(len(s.cores))
-	if opts.SoftwareHarvest && !opts.EventDriven() {
+	if opts.SoftwareHarvest && !opts.EventDrivenLend {
 		s.agent = hypervisor.NewHarvester(cfg.Costs)
 		s.agent.Interval = cfg.AgentInterval
 		s.agent.BufferCores = cfg.AgentBufferCores
@@ -480,24 +477,14 @@ func (s *Server) deriveResilienceDeadlines() {
 	}
 }
 
-// EventDriven reports whether the software path moves cores on
-// per-request events (the Figure 4/5 motivation experiments) instead of
-// through the SmartHarvest predictor.
-func (o Options) EventDriven() bool { return o.EventDrivenLend }
-
 func (s *Server) now() sim.Time { return s.eng.Now() }
 
-// newRequest takes a request object from the pool (or carves a fresh one
-// from the request slab). The caller fills every field it needs; pooled
-// objects arrive zeroed except for gen and the reusable phases capacity.
+// newRequest takes a request object from the pool. The caller fills every
+// field it needs; pooled objects arrive zeroed except for gen and the
+// reusable phases capacity.
 func (s *Server) newRequest() *request {
 	s.inv.created++
-	if n := len(s.reqFree); n > 0 {
-		r := s.reqFree[n-1]
-		s.reqFree = s.reqFree[:n-1]
-		return r
-	}
-	return s.reqSlab.alloc()
+	return s.reqPool.Get()
 }
 
 // freeRequest recycles a completed request. Only call it when no queue, core,
@@ -516,7 +503,7 @@ func (s *Server) freeRequest(r *request) {
 	phases := r.phases[:0]
 	gen := r.gen + 1
 	*r = request{phases: phases, gen: gen}
-	s.reqFree = append(s.reqFree, r)
+	s.reqPool.Put(r)
 }
 
 func (s *Server) harvestVM() *vmRT { return s.vms[s.harvestIdx] }
@@ -573,9 +560,9 @@ func (s *Server) Start() {
 	if s.opts.HarvestVMActive {
 		// Set-up carves exactly the request objects the stock uses.
 		stock := jobStock * s.cfg.CoresPerServer
-		s.reqSlab.reserve(stock)
+		s.reqPool.Reserve(stock)
 		if s.hw != nil {
-			s.hw.hwSlab.reserve(stock)
+			s.hw.pool.Reserve(stock)
 		}
 		s.refillJobs()
 		for _, c := range s.coresOf(s.harvestIdx) {
@@ -889,7 +876,7 @@ func (s *Server) notify(v *vmRT, wake wakeInfo, woken bool) {
 	// reclaims a lent core on demand; the SmartHarvest-style agent only
 	// notices at its next prediction tick (agentTick), which is exactly
 	// why software harvesting hurts microsecond-scale requests.
-	if s.opts.Harvesting && s.opts.EventDriven() && v.isPrimary &&
+	if s.opts.Harvesting && s.opts.EventDrivenLend && v.isPrimary &&
 		v.lentOut-v.pendingReclaims > 0 &&
 		s.be.readyLen(v.idx) > v.pendingReclaims {
 		s.startReclaim(v)
@@ -1031,7 +1018,7 @@ func (s *Server) goIdle(c *coreRT, eligible bool) {
 		// often (the paper observes ~3x the reassignment rate).
 		maxLent, cooldown = 2, s.cfg.EventLendCooldown
 	}
-	if s.sw != nil && s.opts.Harvesting && s.opts.EventDriven() &&
+	if s.sw != nil && s.opts.Harvesting && s.opts.EventDrivenLend &&
 		eligible && c.lentTo < 0 && s.vms[c.owner].isPrimary &&
 		s.vms[c.owner].lentOut < maxLent &&
 		s.be.readyLen(c.owner) == 0 &&
@@ -1509,7 +1496,7 @@ func (s *Server) pinRequest(v *vmRT, r *request) {
 		s.ev(obs.KindPin, r, -1, 0)
 	}
 	v.pinned = append(v.pinned, r)
-	if s.opts.EventDriven() && v.lentOut-v.pendingReclaims > 0 {
+	if s.opts.EventDrivenLend && v.lentOut-v.pendingReclaims > 0 {
 		s.startReclaim(v)
 	}
 	// If another backed vCPU is idle, the guest scheduler migrates the
@@ -1532,15 +1519,9 @@ type pinRelease struct {
 // schedulePinRelease schedules releasePin behind a request-generation guard:
 // redundant release events can outlive the request (it may complete and be
 // recycled through the pool first), and the guard keeps a stale event from
-// acting on the slot's next occupant. The payload comes from pinFree.
+// acting on the slot's next occupant. The payload comes from pinPool.
 func (s *Server) schedulePinRelease(v *vmRT, r *request, d sim.Duration) {
-	var pr *pinRelease
-	if n := len(s.pinFree); n > 0 {
-		pr = s.pinFree[n-1]
-		s.pinFree = s.pinFree[:n-1]
-	} else {
-		pr = s.pinSlab.alloc()
-	}
+	pr := s.pinPool.Get()
 	*pr = pinRelease{v: v, r: r, gen: r.gen}
 	s.eng.ScheduleCall(d, s, opPinRelease, nil, pr)
 }
@@ -1550,7 +1531,7 @@ func (s *Server) schedulePinRelease(v *vmRT, r *request, d sim.Duration) {
 func (s *Server) pinReleaseFired(pr *pinRelease) {
 	v, r, gen := pr.v, pr.r, pr.gen
 	*pr = pinRelease{}
-	s.pinFree = append(s.pinFree, pr)
+	s.pinPool.Put(pr)
 	if r.gen == gen {
 		s.releasePin(v, r)
 	}

@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Controller is the HardHarvest hardware controller: a centralized module
 // reached over a dedicated low-latency control network (§4.1.8). It owns the
@@ -30,6 +33,10 @@ type Controller struct {
 	// every idle-primary dequeue, so it reuses one buffer instead of
 	// allocating per call.
 	hvmScratch []VMID
+	// targets backs Rebalance's per-VM chunk shares: AddVM and BindCore
+	// each rebalance, so set-up reuses one buffer instead of allocating per
+	// call.
+	targets []int
 
 	// Stats.
 	loans    uint64
@@ -223,7 +230,8 @@ func (c *Controller) Rebalance() {
 		totalCores += n
 	}
 	// targets[i] is the chunk share of vmOrder[i].
-	targets := make([]int, len(c.vmOrder))
+	targets := slices.Grow(c.targets[:0], len(c.vmOrder))[:len(c.vmOrder)]
+	c.targets = targets
 	sum := 0
 	for i, vm := range c.vmOrder {
 		n := len(c.qms[vm].boundCores)

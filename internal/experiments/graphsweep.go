@@ -55,27 +55,21 @@ func runGraphFleet(sc Scale, spec *graph.Spec, placement string) *graph.Result {
 	groups := spec.Groups()
 	fleet := make([]*cluster.Server, len(groups))
 	backends := make([]graph.Backend, len(groups))
-	tiers := make([][]int, len(spec.Tiers))
 	for gi, gname := range groups {
 		kind := cluster.NoHarvest
 		if placement == "all" || placement == gname {
 			kind = cluster.HardHarvestBlock
 		}
 		cfg := baseConfig(sc)
-		cfg.Seed = sc.Seed + uint64(gi)*7919
+		cfg.Seed = cluster.ServerSeed(sc.Seed, gi)
 		opts := cluster.SystemOptions(kind)
 		opts.Observer = sc.observerFor(fmt.Sprintf("graphsweep/%s/%s", placement, gname))
 		opts.RemoteAdmission = true
 		fleet[gi] = cluster.NewServer(cfg, opts, work)
 		backends[gi] = graph.Backend{Server: fleet[gi], Cfg: cfg,
 			Name: fmt.Sprintf("server%d[%s]", gi, gname)}
-		for ti := range spec.Tiers {
-			if spec.Tiers[ti].Group == gname {
-				tiers[ti] = []int{gi}
-			}
-		}
 	}
-	gd := graph.New(spec, backends, tiers)
+	gd := graph.New(spec, backends, spec.TierServers(groups))
 	group := sim.NewShardGroup(0)
 	group.Run(front.Wire(group, gd, fleet))
 	for _, srv := range fleet {

@@ -50,16 +50,6 @@ func runOne(sc Scale, opts cluster.Options) *cluster.ServerResult {
 	return cluster.RunServer(baseConfig(sc), opts, defaultWork())
 }
 
-// runFlat simulates a single server with flat (burst-free) load, as the
-// Figure 4/5 motivation experiments do.
-func runFlat(sc Scale, opts cluster.Options) *cluster.ServerResult {
-	cfg := baseConfig(sc)
-	cfg.TraceSteps = 0
-	opts.Observer = sc.observerFor(opts.Name)
-	applyResilience(sc, &opts)
-	return cluster.RunServer(cfg, opts, defaultWork())
-}
-
 // preparedRun is one server simulation with its observer already resolved:
 // sweeps build these sequentially (so the Scale's ObserverProvider is
 // consulted in deterministic order) and then simulate them concurrently.

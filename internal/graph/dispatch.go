@@ -19,11 +19,6 @@ const genSeedSalt = 0x9e3779b97f4a7c55
 // additionally seed the dispatcher's arrival generators from Cfg.
 type Backend = front.Backend
 
-// Action is one scheduled dispatcher reconfiguration (scenario timeline
-// compiled for graph mode); actions apply at their time, in (At, Seq)
-// order.
-type Action = front.Action[*Dispatcher]
-
 // gOpRoot is the dispatcher's own event opcode (sim.Callback): an explicit
 // ScheduleRoot admission (test hook). Generation and replies are the
 // embedded core's events.
@@ -107,11 +102,11 @@ type Dispatcher struct {
 	spec  *Spec
 	tiers []*tierRT
 
-	// Free lists of drained requests and completed nodes. Both objects
-	// live only on the dispatcher's member, so recycling them never
-	// crosses goroutines.
-	freeReqs  []*request
-	freeNodes []*node
+	// Pools of drained requests and completed nodes. Both objects live
+	// only on the dispatcher's member, so recycling them never crosses
+	// goroutines.
+	reqs  sim.Pool[request]
+	nodes sim.Pool[node]
 
 	generated  uint64
 	completed  uint64
@@ -207,7 +202,7 @@ func (d *Dispatcher) ScheduleRoot(at sim.Time) {
 func (d *Dispatcher) admitRoot() {
 	d.generated++
 	d.inflight++
-	req := d.newRequest()
+	req := d.reqs.Get()
 	req.born, req.measured = d.Now(), d.Measuring()
 	if d.onComplete != nil {
 		req.hops = make([]Hop, 0, 8)
@@ -215,26 +210,10 @@ func (d *Dispatcher) admitRoot() {
 	d.dispatchRPC(d.newNode(req, nil, d.spec.Root))
 }
 
-// newRequest takes a zeroed request from the free list, or allocates one.
-func (d *Dispatcher) newRequest() *request {
-	if n := len(d.freeReqs); n > 0 {
-		req := d.freeReqs[n-1]
-		d.freeReqs = d.freeReqs[:n-1]
-		return req
-	}
-	return &request{}
-}
-
-// newNode takes a node from the free list, or allocates one, and sets it
-// up as a fresh invocation of tier under parent.
+// newNode takes a node from the pool and sets it up as a fresh invocation
+// of tier under parent.
 func (d *Dispatcher) newNode(req *request, parent *node, tier int) *node {
-	var n *node
-	if k := len(d.freeNodes); k > 0 {
-		n = d.freeNodes[k-1]
-		d.freeNodes = d.freeNodes[:k-1]
-	} else {
-		n = &node{}
-	}
+	n := d.nodes.Get()
 	*n = node{req: req, parent: parent, tier: tier}
 	return n
 }
@@ -303,13 +282,13 @@ func (d *Dispatcher) nextStage(n *node) {
 }
 
 // completeNode marks n's subtree complete and propagates the join upward;
-// a completed root drains the request. n goes back to the free list first:
+// a completed root drains the request. n goes back to the pool first:
 // its children have all completed, and its ledger record was released
 // before its reply was handled, so nothing references it any more.
 func (d *Dispatcher) completeNode(n *node) {
 	p, req := n.parent, n.req
 	*n = node{}
-	d.freeNodes = append(d.freeNodes, n)
+	d.nodes.Put(n)
 	if p == nil {
 		d.inflight--
 		e2e := d.Now().Sub(req.born)
@@ -326,7 +305,7 @@ func (d *Dispatcher) completeNode(n *node) {
 		}
 		// The observer may keep hops, so the next request gets its own.
 		*req = request{}
-		d.freeReqs = append(d.freeReqs, req)
+		d.reqs.Put(req)
 		return
 	}
 	if p.seqLeft > 0 {

@@ -284,6 +284,21 @@ func (s *Spec) Groups() []string {
 	return groups
 }
 
+// TierServers maps each tier to the fleet servers of its group, in fleet
+// order: groups[i] names server i's group. The result is New's tiers
+// argument.
+func (s *Spec) TierServers(groups []string) [][]int {
+	tiers := make([][]int, len(s.Tiers))
+	for ti := range s.Tiers {
+		for i, g := range groups {
+			if g == s.Tiers[ti].Group {
+				tiers[ti] = append(tiers[ti], i)
+			}
+		}
+	}
+	return tiers
+}
+
 // TierByName resolves a tier index by name (-1 when absent).
 func (s *Spec) TierByName(name string) int {
 	for i := range s.Tiers {

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -171,6 +172,17 @@ func TestNodesAndTierByName(t *testing.T) {
 	}}
 	if n := chain.Nodes(); n != 4 {
 		t.Errorf("sequential chain Nodes() = %d, want 4 (fan-out counts invocations)", n)
+	}
+}
+
+// TestTierServers: each tier gets its group's servers in fleet order, and
+// tiers sharing a group share its servers.
+func TestTierServers(t *testing.T) {
+	sn := SocialNet(20 * sim.Microsecond) // cache and db share the leaf group
+	got := sn.TierServers([]string{"leaf", "frontend", "logic", "leaf", "frontend"})
+	want := [][]int{{1, 4}, {2}, {0, 3}, {0, 3}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("TierServers = %v, want %v", got, want)
 	}
 }
 

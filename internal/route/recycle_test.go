@@ -1,6 +1,7 @@
 package route
 
 import (
+	"runtime"
 	"testing"
 
 	"hardharvest/internal/cluster"
@@ -35,8 +36,9 @@ func checkStranded(t *testing.T, r *Result) {
 // nothing outstanding, and none is on the list twice.
 func checkFreeList(t *testing.T, rt *Router) {
 	t.Helper()
-	seen := make(map[*pendingReq]bool, len(rt.freeReqs))
-	for _, req := range rt.freeReqs {
+	free := rt.reqs.Free()
+	seen := make(map[*pendingReq]bool, len(free))
+	for _, req := range free {
 		if seen[req] {
 			t.Fatal("a request is on the free list twice")
 		}
@@ -95,7 +97,7 @@ func TestRecycledRequestsKeepTheLedger(t *testing.T) {
 			if shedding && res.ShedRecv == 0 {
 				t.Fatal("shedding variant shed nothing")
 			}
-			if len(rt.freeReqs) == 0 {
+			if len(rt.reqs.Free()) == 0 {
 				t.Fatal("no request was recycled")
 			}
 		}
@@ -205,5 +207,55 @@ func TestProbeRoundAllocFree(t *testing.T) {
 	}
 	if got := rt.probeFails - fails; got != runs+1 {
 		t.Fatalf("%d probes failed in %d rounds, want %d (the crashed backend's)", got, runs+1, runs+1)
+	}
+}
+
+// TestRequestPoolGrowsPerChunk: a burst of k simultaneous requests grows
+// the router's request pool by k objects at one allocation per 16, not one
+// per request. Each burst first takes every waiting request out of the
+// pool, so its admissions must carve k fresh ones; the ledger, the
+// inboxes and the pool's own free list are warm from identical earlier
+// bursts. The measured window is the instant the router admits and
+// dispatches the burst, so the pool's growth is all it pays for: at most
+// k/16+1 allocations. Every request completes and returns to the pool
+// before the next burst.
+func TestRequestPoolGrowsPerChunk(t *testing.T) {
+	cfg := cluster.DefaultConfig()
+	cfg.Seed = 23
+	cfg.WarmupDuration = 2 * sim.Millisecond
+	cfg.MeasureDuration = sim.Second
+	opts := cluster.SystemOptions(cluster.HardHarvestBlock)
+	opts.RemoteAdmission = true
+	srv := cluster.NewServer(cfg, opts, testBatch(t))
+	rc := DefaultConfig()
+	rc.ProbeInterval = 10 * sim.Second
+	rt := New(rc, []Backend{{Server: srv, Cfg: cfg, Name: "srv"}})
+	rt.SetIntensityAll(1e-9)
+	g := sim.NewShardGroup(1)
+	front.Wire(g, rt, []*cluster.Server{srv})
+	const k = 256
+	now := sim.Time(0)
+	burst := func() uint64 {
+		for range rt.reqs.Free() {
+			rt.reqs.Get()
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < k; i++ {
+			rt.Engine().CallAt(now, kick{rt}, int32(i&1), nil, nil)
+		}
+		g.Run(now)
+		runtime.ReadMemStats(&after)
+		now = now.Add(50 * sim.Millisecond)
+		g.Run(now - 1)
+		if got := len(rt.reqs.Free()); got != k {
+			t.Fatalf("%d requests back in the pool after a burst of %d", got, k)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	burst()
+	burst()
+	if allocs, limit := burst(), uint64(k/16+1); allocs > limit {
+		t.Fatalf("%d allocations to grow the request pool by %d, want at most %d", allocs, k, limit)
 	}
 }

@@ -106,11 +106,6 @@ func (c Config) Validate() error {
 // Backend describes one fleet server the router feeds (see front.Backend).
 type Backend = front.Backend
 
-// Action is one scheduled router reconfiguration (scenario timeline/events
-// compiled for routed mode); actions apply at their time, in (At, Seq)
-// order.
-type Action = front.Action[*Router]
-
 // Router event opcodes (sim.Callback). Generation and replies are the
 // embedded core's events.
 const (
@@ -165,8 +160,8 @@ type Router struct {
 	rr       uint64
 	eligible []int
 
-	// freeReqs recycles released requests, last in first out.
-	freeReqs []*pendingReq
+	// reqs recycles released requests.
+	reqs sim.Pool[pendingReq]
 
 	// Fleet counters (see Result for meanings).
 	generated         uint64
@@ -262,7 +257,7 @@ func (rt *Router) OnEvent(op int32, a, b any) {
 // no eligible backend the request is lost at the door.
 func (rt *Router) admit(g *front.Gen) {
 	rt.generated++
-	req := rt.newReq()
+	req := rt.reqs.Get()
 	*req = pendingReq{vm: g.VM, born: rt.Now(), measured: rt.Measuring()}
 	if rt.dispatch(req) {
 		rt.initialDispatches++
@@ -274,22 +269,12 @@ func (rt *Router) admit(g *front.Gen) {
 	}
 }
 
-// newReq takes a request from the free list, or allocates one.
-func (rt *Router) newReq() *pendingReq {
-	if n := len(rt.freeReqs); n > 0 {
-		req := rt.freeReqs[n-1]
-		rt.freeReqs = rt.freeReqs[:n-1]
-		return req
-	}
-	return &pendingReq{}
-}
-
-// release returns req to the free list once it is resolved and no attempt
-// of it is outstanding. A request resolved while a stranded attempt is
-// still out stays live until that attempt's zombie reply releases it.
+// release returns req to the pool once it is resolved and no attempt of
+// it is outstanding. A request resolved while a stranded attempt is still
+// out stays live until that attempt's zombie reply releases it.
 func (rt *Router) release(req *pendingReq) {
 	if req.resolved && req.outstanding == 0 {
-		rt.freeReqs = append(rt.freeReqs, req)
+		rt.reqs.Put(req)
 	}
 }
 

@@ -32,7 +32,7 @@ type fleetSpec struct {
 	// edit tweaks server i's config/options before construction.
 	edit func(i int, cfg *cluster.Config, opts *cluster.Options)
 	// actions install router actions before the run.
-	actions []Action
+	actions []front.Action[*Router]
 	// inspect, when set, sees the router after the run.
 	inspect func(rt *Router)
 }
@@ -231,7 +231,7 @@ func TestFailoverOnCrash(t *testing.T) {
 func TestDrain(t *testing.T) {
 	at := sim.Time(0).Add(10 * sim.Millisecond)
 	res, _ := runFleet(t, fleetSpec{n: 3, workers: 2, rc: DefaultConfig(),
-		actions: []Action{{At: at, Fn: func(rt *Router) {
+		actions: []front.Action[*Router]{{At: at, Fn: func(rt *Router) {
 			rt.StartDrain(0, 2*sim.Millisecond)
 		}}}})
 	mustConserve(t, res)
@@ -312,7 +312,7 @@ func TestIntensityControls(t *testing.T) {
 	at := sim.Time(0).Add(5 * sim.Millisecond)
 	base, _ := runFleet(t, fleetSpec{n: 2, workers: 2, rc: DefaultConfig()})
 	boosted, _ := runFleet(t, fleetSpec{n: 2, workers: 2, rc: DefaultConfig(),
-		actions: []Action{{At: at, Fn: func(rt *Router) {
+		actions: []front.Action[*Router]{{At: at, Fn: func(rt *Router) {
 			rt.SetIntensity(0, 3.0)
 			rt.SetVMIntensity(1, 0, 2.0)
 			if got := rt.Intensity(0, 1); got != 3.0 {

@@ -113,7 +113,7 @@ func (sc *Scenario) compile() ([]*serverSpec, []action, error) {
 		for j := 0; j < g.Count; j++ {
 			i := len(specs)
 			cfg := cluster.DefaultConfig()
-			cfg.Seed = sc.Seed + uint64(i)*7919 // the RunCluster derivation
+			cfg.Seed = cluster.ServerSeed(sc.Seed, i)
 			cfg.Strict = sc.Strict
 			cfg.CoresPerServer = g.Cores
 			cfg.PrimaryVMs = g.PrimaryVMs
@@ -345,16 +345,12 @@ func (sc *Scenario) RunShards(shards int) (*Report, error) {
 		horizon = front.Wire(group, rt, servers)
 		rt.SetActions(frontActions[*route.Router](fronts))
 	} else if graphed {
-		spec := sc.Graph.spec
-		byGroup := make(map[string][]int, len(sc.Fleet))
+		groups := make([]string, len(specs))
 		for i, s := range specs {
-			byGroup[s.group.Name] = append(byGroup[s.group.Name], i)
+			groups[i] = s.group.Name
 		}
-		tiers := make([][]int, len(spec.Tiers))
-		for ti := range spec.Tiers {
-			tiers[ti] = byGroup[spec.Tiers[ti].Group]
-		}
-		gd = graph.New(spec, backends, tiers)
+		spec := sc.Graph.spec
+		gd = graph.New(spec, backends, spec.TierServers(groups))
 		horizon = front.Wire(group, gd, servers)
 		gd.SetActions(frontActions[*graph.Dispatcher](fronts))
 	}

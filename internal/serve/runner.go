@@ -85,13 +85,13 @@ func (rc RunConfig) parse() (cluster.SystemKind, *batch.Workload, error) {
 }
 
 // newServer constructs server i of the run with its meter; fleet servers
-// admit remotely. Seeds follow the RunCluster derivation, so server 0
-// runs with the config's own seed.
+// admit remotely. Seeds follow cluster.ServerSeed, so server 0 runs with
+// the config's own seed.
 func (rc RunConfig) newServer(kind cluster.SystemKind, work *batch.Workload, i int, remote bool) (*cluster.Server, cluster.Config, *obs.Meter) {
 	ccfg := cluster.DefaultConfig()
 	ccfg.WarmupDuration = sim.Duration(rc.WarmupMS) * sim.Millisecond
 	ccfg.MeasureDuration = sim.Duration(rc.SimMS) * sim.Millisecond
-	ccfg.Seed = rc.Seed + uint64(i)*7919
+	ccfg.Seed = cluster.ServerSeed(rc.Seed, i)
 	opts := cluster.SystemOptions(kind)
 	meter := obs.NewMeter()
 	opts.Observer = meter
@@ -118,8 +118,8 @@ func parseGraph(name string, netDelay sim.Duration) (*graph.Spec, error) {
 // remote-admission servers behind a front door — a router over Backends
 // servers, or a graph dispatcher over Backends servers per tier group
 // (tiers in the same group share its servers) — assembled by front.Wire,
-// the scenario runner's wiring path. Per-server seeds follow the
-// RunCluster derivation, so server 0 runs with the config's own seed.
+// the scenario runner's wiring path. Per-server seeds follow
+// cluster.ServerSeed, so server 0 runs with the config's own seed.
 func (r *Runner) buildFleet() error {
 	rc := r.cfg
 	kind, work, err := rc.parse()
@@ -159,17 +159,14 @@ func (r *Runner) buildFleet() error {
 		if spec, err = parseGraph(rc.Graph, 20*sim.Microsecond); err != nil {
 			return err
 		}
-		byGroup := map[string][]int{}
+		var groups []string
 		for _, g := range spec.Groups() {
 			for k := 0; k < rc.Backends; k++ {
-				byGroup[g] = append(byGroup[g], len(names))
+				groups = append(groups, g)
 				names = append(names, fmt.Sprintf("server%d[%s]", len(names), g))
 			}
 		}
-		tiers = make([][]int, len(spec.Tiers))
-		for ti := range spec.Tiers {
-			tiers[ti] = byGroup[spec.Tiers[ti].Group]
-		}
+		tiers = spec.TierServers(groups)
 	}
 	backends := make([]front.Backend, len(names))
 	for i, name := range names {

@@ -13,7 +13,8 @@ import "fmt"
 //   - ScheduleCall binds a typed callback (receiver + op code + two pointer
 //     payloads) directly in the event record, so hot model call sites do not
 //     allocate a closure per event. Schedule keeps the closure form for cold
-//     sites.
+//     sites; it stores the closure as a funcCall, so every record holds a
+//     Callback and Run has one way to fire an event.
 //
 // A 4-ary heap does the same comparisons asymptotically as a binary heap but
 // with half the depth: sift-downs touch fewer cache lines, which dominates
@@ -75,11 +76,16 @@ type Callback interface {
 	OnEvent(op int32, a, b any)
 }
 
-// eventRec is one slab slot. fn and cb are mutually exclusive.
+// funcCall adapts a Schedule/At closure to Callback. A func value is one
+// pointer, so converting it to an interface allocates nothing.
+type funcCall func()
+
+func (f funcCall) OnEvent(int32, any, any) { f() }
+
+// eventRec is one slab slot.
 type eventRec struct {
 	when    Time
 	seq     uint64
-	fn      func()
 	cb      Callback
 	a, b    any
 	op      int32
@@ -143,7 +149,7 @@ func (e *Engine) At(when Time, fn func()) Event {
 	if fn == nil {
 		panic("sim: nil event function")
 	}
-	return e.schedule(when, fn, nil, 0, nil, nil)
+	return e.schedule(when, funcCall(fn), 0, nil, nil)
 }
 
 // ScheduleCall runs cb.OnEvent(op, a, b) after delay. Unlike Schedule it
@@ -162,10 +168,10 @@ func (e *Engine) CallAt(when Time, cb Callback, op int32, a, b any) Event {
 	if cb == nil {
 		panic("sim: nil event callback")
 	}
-	return e.schedule(when, nil, cb, op, a, b)
+	return e.schedule(when, cb, op, a, b)
 }
 
-func (e *Engine) schedule(when Time, fn func(), cb Callback, op int32, a, b any) Event {
+func (e *Engine) schedule(when Time, cb Callback, op int32, a, b any) Event {
 	if when < e.now {
 		panic(fmt.Sprintf("sim: scheduling into the past (%v < %v)", when, e.now))
 	}
@@ -173,7 +179,6 @@ func (e *Engine) schedule(when Time, fn func(), cb Callback, op int32, a, b any)
 	rec := &e.slab[id]
 	rec.when = when
 	rec.seq = e.seq
-	rec.fn = fn
 	rec.cb = cb
 	rec.op = op
 	rec.a = a
@@ -200,7 +205,6 @@ func (e *Engine) alloc() int32 {
 
 func (e *Engine) release(id int32) {
 	rec := &e.slab[id]
-	rec.fn = nil
 	rec.cb = nil
 	rec.a = nil
 	rec.b = nil
@@ -273,13 +277,9 @@ func (e *Engine) Run(horizon Time) Time {
 		e.heapPop()
 		e.now = rec.when
 		rec.state = StateFiring
-		fn, cb, op, a, b := rec.fn, rec.cb, rec.op, rec.a, rec.b
+		cb, op, a, b := rec.cb, rec.op, rec.a, rec.b
 		e.fired++
-		if cb != nil {
-			cb.OnEvent(op, a, b)
-		} else {
-			fn()
-		}
+		cb.OnEvent(op, a, b)
 		// The callback may have grown the slab; re-resolve by index. The
 		// slot joins the free list only now, so nothing scheduled during the
 		// callback can reuse it while it fires.

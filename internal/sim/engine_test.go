@@ -33,9 +33,6 @@ func TestDurationUnits(t *testing.T) {
 	if d.Std() != 1500*time.Microsecond {
 		t.Fatalf("Std = %v", d.Std())
 	}
-	if FromStd(2*time.Microsecond) != 2*Microsecond {
-		t.Fatalf("FromStd mismatch")
-	}
 }
 
 // TestFromMilliseconds: user-supplied millisecond spans convert exactly

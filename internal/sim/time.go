@@ -65,9 +65,6 @@ func (d Duration) Milliseconds() float64 { return float64(d) / float64(Milliseco
 // resolution; sub-nanosecond information is truncated).
 func (d Duration) Std() time.Duration { return time.Duration(int64(d) / int64(Nanosecond)) }
 
-// FromStd converts a time.Duration into a simulated Duration.
-func FromStd(d time.Duration) Duration { return Duration(d.Nanoseconds()) * Nanosecond }
-
 // maxSpan bounds the spans FromMilliseconds accepts: 2^62 ps, about 53
 // simulated days. Every horizon a run can reach lies below it too (it is
 // Engine.RunAll's "forever"), so adding an accepted span to a reachable

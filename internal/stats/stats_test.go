@@ -83,7 +83,15 @@ func TestNormalMoments(t *testing.T) {
 	for i := range vs {
 		vs[i] = r.Normal(10, 3)
 	}
-	mean, sd := MeanStddev(vs)
+	var mean, sd float64
+	for _, v := range vs {
+		mean += v
+	}
+	mean /= float64(len(vs))
+	for _, v := range vs {
+		sd += (v - mean) * (v - mean)
+	}
+	sd = math.Sqrt(sd / float64(len(vs)))
 	if math.Abs(mean-10) > 0.1 {
 		t.Fatalf("normal mean = %v", mean)
 	}
@@ -273,13 +281,6 @@ func TestQuantileProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMeanStddevEmpty(t *testing.T) {
-	m, s := MeanStddev(nil)
-	if m != 0 || s != 0 {
-		t.Fatal("MeanStddev(nil) should be zeros")
 	}
 }
 

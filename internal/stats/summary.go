@@ -156,20 +156,3 @@ func (r *Recorder) CDF(k int) []CDFPoint {
 	}
 	return pts
 }
-
-// MeanStddev computes the mean and (population) standard deviation of vs.
-func MeanStddev(vs []float64) (mean, stddev float64) {
-	if len(vs) == 0 {
-		return 0, 0
-	}
-	for _, v := range vs {
-		mean += v
-	}
-	mean /= float64(len(vs))
-	for _, v := range vs {
-		d := v - mean
-		stddev += d * d
-	}
-	stddev = math.Sqrt(stddev / float64(len(vs)))
-	return mean, stddev
-}

@@ -141,24 +141,6 @@ func SummarizeSeries(series []float64) (avg, max float64) {
 	return avg / float64(len(series)), max
 }
 
-// AvgCDF and MaxCDF build the Figure 2 curves from a set of instances.
-func AvgCDF(insts []Instance, points int) []stats.CDFPoint {
-	r := stats.NewRecorder()
-	for _, in := range insts {
-		r.Add(in.AvgUtil)
-	}
-	return r.CDF(points)
-}
-
-// MaxCDF builds the maximum-utilization CDF of Figure 2.
-func MaxCDF(insts []Instance, points int) []stats.CDFPoint {
-	r := stats.NewRecorder()
-	for _, in := range insts {
-		r.Add(in.MaxUtil)
-	}
-	return r.CDF(points)
-}
-
 // FractionBelowAvg reports the fraction of instances with AvgUtil < u.
 func FractionBelowAvg(insts []Instance, u float64) float64 {
 	n := 0

@@ -91,23 +91,6 @@ func TestSeriesDegenerateInputs(t *testing.T) {
 	}
 }
 
-func TestCDFShapes(t *testing.T) {
-	rng := stats.NewRNG(13)
-	insts := GenerateInstances(rng, 2000)
-	avgCDF := AvgCDF(insts, 50)
-	maxCDF := MaxCDF(insts, 50)
-	if len(avgCDF) != 50 || len(maxCDF) != 50 {
-		t.Fatalf("CDF lengths %d/%d", len(avgCDF), len(maxCDF))
-	}
-	// The max-utilization curve is stochastically to the right of the
-	// avg-utilization curve: at every fraction its value is >=.
-	for i := range avgCDF {
-		if maxCDF[i].Value < avgCDF[i].Value {
-			t.Fatalf("max CDF left of avg CDF at %v", avgCDF[i].Fraction)
-		}
-	}
-}
-
 func TestGenerateDeterminism(t *testing.T) {
 	a := GenerateInstances(stats.NewRNG(5), 100)
 	b := GenerateInstances(stats.NewRNG(5), 100)

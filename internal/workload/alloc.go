@@ -99,29 +99,9 @@ func ProfileAllocations(p *Profile, rng *stats.RNG, invocations int) ProfileResu
 	}
 }
 
-// ProfileSuite profiles every service of a suite.
-func ProfileSuite(s Suite, seed uint64, invocations int) []ProfileResult {
-	out := make([]ProfileResult, 0, len(s.Services))
-	for i, p := range s.Services {
-		rng := stats.NewRNG(seed + uint64(i)*7919)
-		out = append(out, ProfileAllocations(p, rng, invocations))
-	}
-	return out
-}
-
 func maxInt(a, b int) int {
 	if a > b {
 		return a
 	}
 	return b
-}
-
-// TotalServices counts services across all suites (the paper profiles 60+;
-// we model a representative subset).
-func TotalServices() int {
-	n := 0
-	for _, s := range Suites() {
-		n += len(s.Services)
-	}
-	return n
 }

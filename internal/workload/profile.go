@@ -9,8 +9,6 @@
 package workload
 
 import (
-	"fmt"
-
 	"hardharvest/internal/sim"
 	"hardharvest/internal/stats"
 )
@@ -98,16 +96,6 @@ func RandomProfile(rng *stats.RNG, name string) *Profile {
 		FootprintKB:    100 + rng.Intn(400),
 		BaseRPSPerCore: 60 + 200*rng.Float64(),
 	}
-}
-
-// ProfileByName returns the named profile or an error.
-func ProfileByName(name string) (*Profile, error) {
-	for _, p := range Profiles() {
-		if p.Name == name {
-			return p, nil
-		}
-	}
-	return nil, fmt.Errorf("workload: unknown service %q", name)
 }
 
 // Phase is one CPU burst optionally followed by a blocking I/O call

@@ -32,8 +32,8 @@ func TestProfilesShape(t *testing.T) {
 		}
 	}
 	// Character checks from the paper's text.
-	user, _ := ProfileByName("User")
-	homet, _ := ProfileByName("HomeT")
+	user := profileNamed(t, "User")
+	homet := profileNamed(t, "HomeT")
 	for _, p := range ps {
 		if p.Name != "User" && p.MeanIOCalls > user.MeanIOCalls {
 			t.Errorf("User should block most frequently; %s has %v calls", p.Name, p.MeanIOCalls)
@@ -44,18 +44,20 @@ func TestProfilesShape(t *testing.T) {
 	}
 }
 
-func TestProfileByName(t *testing.T) {
-	p, err := ProfileByName("CPost")
-	if err != nil || p.Name != "CPost" {
-		t.Fatalf("ProfileByName = %v, %v", p, err)
+// profileNamed returns the named service profile.
+func profileNamed(t *testing.T, name string) *Profile {
+	t.Helper()
+	for _, p := range Profiles() {
+		if p.Name == name {
+			return p
+		}
 	}
-	if _, err := ProfileByName("Nope"); err == nil {
-		t.Fatal("unknown service should error")
-	}
+	t.Fatalf("no service %q", name)
+	return nil
 }
 
 func TestSampleMeans(t *testing.T) {
-	p, _ := ProfileByName("Text")
+	p := profileNamed(t, "Text")
 	rng := stats.NewRNG(1)
 	var cpu, io float64
 	var calls int
@@ -82,7 +84,7 @@ func TestSampleMeans(t *testing.T) {
 }
 
 func TestSampleStructure(t *testing.T) {
-	p, _ := ProfileByName("User")
+	p := profileNamed(t, "User")
 	rng := stats.NewRNG(2)
 	for i := 0; i < 1000; i++ {
 		inv := p.Sample(rng)
@@ -105,7 +107,7 @@ func TestSampleStructure(t *testing.T) {
 }
 
 func TestGeneratorRate(t *testing.T) {
-	p, _ := ProfileByName("UrlShort") // 250 RPS/core
+	p := profileNamed(t, "UrlShort") // 250 RPS/core
 	rng := stats.NewRNG(3)
 	g := NewGenerator(p, 4, nil, 0, rng)
 	// 1000 RPS expected; count arrivals in 2 simulated seconds.
@@ -124,7 +126,7 @@ func TestGeneratorRate(t *testing.T) {
 }
 
 func TestGeneratorArrivalsMonotone(t *testing.T) {
-	p, _ := ProfileByName("Text")
+	p := profileNamed(t, "Text")
 	g := NewGenerator(p, 4, nil, 0, stats.NewRNG(4))
 	prev := sim.Time(0)
 	for i := 0; i < 1000; i++ {
@@ -137,7 +139,7 @@ func TestGeneratorArrivalsMonotone(t *testing.T) {
 }
 
 func TestGeneratorModulation(t *testing.T) {
-	p, _ := ProfileByName("Text")
+	p := profileNamed(t, "Text")
 	rng := stats.NewRNG(5)
 	// Two-step series: quiet then burst, 100 ms per step.
 	series := []float64{0.1, 0.9}
@@ -165,7 +167,7 @@ func TestGeneratorModulation(t *testing.T) {
 // now saturate: every arrival lands past any reachable horizon, and
 // further calls stay there instead of wrapping.
 func TestGeneratorVanishingRateSaturates(t *testing.T) {
-	p, _ := ProfileByName("Text")
+	p := profileNamed(t, "Text")
 	g := NewGenerator(p, 4, nil, 0, stats.NewRNG(7))
 	g.SetIntensity(1e-300)
 	for i := 0; i < 4; i++ {
@@ -189,7 +191,7 @@ func TestCheckIntensity(t *testing.T) {
 }
 
 func TestGeneratorReset(t *testing.T) {
-	p, _ := ProfileByName("Text")
+	p := profileNamed(t, "Text")
 	g := NewGenerator(p, 4, nil, 0, stats.NewRNG(6))
 	g.Next()
 	g.Reset()
@@ -254,9 +256,6 @@ func TestSuitesRoster(t *testing.T) {
 			}
 		}
 	}
-	if TotalServices() != 20 {
-		t.Fatalf("total services = %d", TotalServices())
-	}
 }
 
 func TestProfileAllocationsMatchesSharedFrac(t *testing.T) {
@@ -276,20 +275,6 @@ func TestProfileAllocationsMatchesSharedFrac(t *testing.T) {
 			if r.FootprintKB <= 0 {
 				t.Errorf("%s: empty footprint", p.Name)
 			}
-		}
-	}
-}
-
-func TestProfileSuiteDeterminism(t *testing.T) {
-	s := Suites()[1]
-	a := ProfileSuite(s, 3, 10)
-	b := ProfileSuite(s, 3, 10)
-	if len(a) != len(s.Services) {
-		t.Fatalf("results = %d", len(a))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("nondeterministic profiling at %d", i)
 		}
 	}
 }
