@@ -50,30 +50,45 @@ type request struct {
 	// stale event can never act on the slot's next occupant.
 	gen uint32
 
-	// inline backs phases for invocations of up to inlinePhases phases, so
-	// a pooled request carries its phases without a heap slice. phases may
-	// alias it: a request must never be copied by value.
-	inline [inlinePhases]workload.Phase
+	// own backs phases for single-phase work, every Harvest VM job among
+	// it, so a job record carries its one phase without a phase buffer.
+	// phases may alias it: a request must never be copied by value.
+	own [1]workload.Phase
+	// buf is the pooled phase buffer phases lives in, for invocations of
+	// two to inlinePhases phases; nil otherwise.
+	buf *phaseBuf
 }
 
-// inlinePhases sizes request.inline: the service profiles draw a Poisson
-// number of blocking I/O calls with means 0.6-3.4, so one burst plus up to
-// seven calls covers 97.7% of the heaviest service's invocations and at
-// least 98.8% of every other's. A request that needs more keeps its heap
-// slice for good, so a smaller buffer costs more memory, not less: on the
+// phaseBuf holds the phases of one multi-phase invocation. The server
+// pools them apart from request objects, so only the invocations that need
+// one hold one.
+type phaseBuf [inlinePhases]workload.Phase
+
+// inlinePhases sizes phaseBuf: the service profiles draw a Poisson number
+// of blocking I/O calls with means 0.6-3.4, so one burst plus up to seven
+// calls covers 97.7% of the heaviest service's invocations and at least
+// 98.8% of every other's. A request that needs more keeps its heap slice
+// for good, so a smaller buffer costs more memory, not less: on the
 // fleet-wide benchmark workload's 130-server fleet, the live heap after
 // the run was lowest at eight phases among 4, 6, 7, 8 and 10.
 const inlinePhases = 8
 
 func (r *request) currentPhase() workload.Phase { return r.phases[r.phase] }
 
-// setPhases copies ps into the request's own phase storage: the inline
-// buffer while it fits, else a heap slice that the pooled object keeps
-// for its next occupants.
-func (r *request) setPhases(ps []workload.Phase) {
+// setPhases copies ps into r's phase storage: a heap slice the pooled
+// object kept from an earlier occupant, else r's own slot for one phase,
+// else a phase buffer from the server's pool for up to inlinePhases, else
+// a fresh heap slice, which the object then keeps.
+func (s *Server) setPhases(r *request, ps []workload.Phase) {
 	buf := r.phases[:0]
 	if buf == nil {
-		buf = r.inline[:0]
+		switch {
+		case len(ps) <= 1:
+			buf = r.own[:0]
+		case len(ps) <= inlinePhases:
+			r.buf = s.phaseBufs.Get()
+			buf = r.buf[:0]
+		}
 	}
 	r.phases = append(buf, ps...)
 }

@@ -160,6 +160,32 @@ func (s *Server) checkConservation() {
 	}
 }
 
+// CheckPools audits the server's free lists and reports the first fault:
+// a request or phase buffer waiting twice (two later takers would share
+// it), or a waiting request that is not free or still holds a phase
+// buffer (its next occupant would share the buffer with the buffer's next
+// taker). It allocates, so the end-of-run checks leave it to tests.
+func (s *Server) CheckPools() error {
+	reqs := make(map[*request]bool, len(s.reqPool.Free()))
+	for _, r := range s.reqPool.Free() {
+		if reqs[r] {
+			return fmt.Errorf("cluster: request object %p is on the free list twice", r)
+		}
+		reqs[r] = true
+		if r.state != rsFree || r.buf != nil {
+			return fmt.Errorf("cluster: request object %p on the free list is %v with phase buffer %p", r, r.state, r.buf)
+		}
+	}
+	bufs := make(map[*phaseBuf]bool, len(s.phaseBufs.Free()))
+	for _, b := range s.phaseBufs.Free() {
+		if bufs[b] {
+			return fmt.Errorf("cluster: phase buffer %p is on the free list twice", b)
+		}
+		bufs[b] = true
+	}
+	return nil
+}
+
 // opRing remembers the most recent typed engine events so a strict-mode
 // panic shows what led up to the violation. It is allocated only under
 // Config.Strict; recording is two stores and a mask.

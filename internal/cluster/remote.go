@@ -68,7 +68,7 @@ func (s *Server) AdmitRemote(vm int, remoteID uint64) {
 	r.id = s.reqSeq
 	r.vmIdx = v.idx
 	// Copy: inv.Phases aliases the sampling scratch.
-	r.setPhases(inv.Phases)
+	s.setPhases(r, inv.Phases)
 	r.arrival = s.now()
 	r.measured = s.measuring()
 	r.remoteID = remoteID

@@ -184,7 +184,7 @@ func (s *Server) spawnAttempt(c *call, kind obs.Kind) {
 	r := s.newRequest()
 	r.id = s.reqSeq
 	r.vmIdx = v.idx
-	r.setPhases(c.phases)
+	s.setPhases(r, c.phases)
 	r.arrival = s.now()
 	r.measured = c.measured
 	r.call = c

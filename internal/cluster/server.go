@@ -254,10 +254,12 @@ type Server struct {
 	coreWinStart []CoreCycles
 	coreWinEnd   []CoreCycles
 
-	// reqPool recycles request objects (and their phase slices): a server
-	// simulates hundreds of thousands of requests but only a few hundred
-	// are ever in flight, so the pool caps steady-state allocation.
-	reqPool sim.Pool[request]
+	// reqPool recycles request objects: a server simulates hundreds of
+	// thousands of requests but only a few hundred are ever in flight, so
+	// the pool caps steady-state allocation. phaseBufs recycles the phase
+	// buffers of multi-phase invocations the same way.
+	reqPool   sim.Pool[request]
+	phaseBufs sim.Pool[phaseBuf]
 	// pinPool recycles pin-release event payloads; each returns to the
 	// pool when its event fires.
 	pinPool sim.Pool[pinRelease]
@@ -480,8 +482,8 @@ func (s *Server) deriveResilienceDeadlines() {
 func (s *Server) now() sim.Time { return s.eng.Now() }
 
 // newRequest takes a request object from the pool. The caller fills every
-// field it needs; pooled objects arrive zeroed except for gen and the
-// reusable phases capacity.
+// field it needs and sets the phases with setPhases; pooled objects arrive
+// zeroed except for gen and a kept heap phase slice.
 func (s *Server) newRequest() *request {
 	s.inv.created++
 	return s.reqPool.Get()
@@ -500,7 +502,13 @@ func (s *Server) freeRequest(r *request) {
 	}
 	s.setReqState(r, rsFree)
 	s.inv.freed++
-	phases := r.phases[:0]
+	var phases []workload.Phase
+	if cap(r.phases) > inlinePhases {
+		phases = r.phases[:0] // a heap slice: the object keeps it
+	}
+	if r.buf != nil {
+		s.phaseBufs.Put(r.buf)
+	}
 	gen := r.gen + 1
 	*r = request{phases: phases, gen: gen}
 	s.reqPool.Put(r)
@@ -786,7 +794,7 @@ func (s *Server) onArrival(v *vmRT, inv workload.Invocation) {
 	r.vmIdx = v.idx
 	// Copy: inv.Phases aliases the generator's sampling scratch (see
 	// workload.Generator.Next).
-	r.setPhases(inv.Phases)
+	s.setPhases(r, inv.Phases)
 	r.arrival = s.now()
 	r.measured = s.measuring()
 	s.setReqState(r, rsTransit)
@@ -1322,7 +1330,7 @@ func (s *Server) refillJobs() {
 		job.vmIdx = s.harvestIdx
 		job.isJob = true
 		job.arrival = s.now()
-		job.setPhases([]workload.Phase{{CPU: s.hwork.SampleJob(s.jobRNG)}})
+		s.setPhases(job, []workload.Phase{{CPU: s.hwork.SampleJob(s.jobRNG)}})
 		s.setReqState(job, rsQueued)
 		if s.obs != nil {
 			s.ev(obs.KindEnqueue, job, -1, 0)

@@ -48,3 +48,19 @@ func (m *Meter) Counters() Counters { return m.counters }
 // meter's own histogram: callers that publish it across goroutines must
 // Clone it at a barrier.
 func (m *Meter) Hist() *LatencyHist { return m.hist }
+
+// MergeMeters folds the meters' counters and latency histograms, in order,
+// into a fresh Counters and a fresh histogram. The histogram's bucket array
+// is sized once, to the widest meter's, so the merge never regrows it.
+func MergeMeters(ms []*Meter) (Counters, *LatencyHist) {
+	n := 0
+	for _, m := range ms {
+		n = max(n, len(m.hist.buckets))
+	}
+	c, h := Counters{}, &LatencyHist{buckets: make([]uint64, 0, n), min: -1}
+	for _, m := range ms {
+		c.Add(&m.counters)
+		h.Merge(m.hist)
+	}
+	return c, h
+}

@@ -33,7 +33,8 @@ func checkStranded(t *testing.T, r *Result) {
 }
 
 // checkFreeList checks the recycled requests: each is resolved with
-// nothing outstanding, and none is on the list twice.
+// nothing outstanding, and none is on the list twice; and every backend's
+// own free lists, of request objects and phase buffers, are sound.
 func checkFreeList(t *testing.T, rt *Router) {
 	t.Helper()
 	free := rt.reqs.Free()
@@ -52,6 +53,9 @@ func checkFreeList(t *testing.T, rt *Router) {
 			if seen[rt.Attempt(id).req] {
 				t.Fatalf("active attempt %d on %s points at a free request", id, b.Name)
 			}
+		}
+		if err := b.Server.CheckPools(); err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
 		}
 	}
 }

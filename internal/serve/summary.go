@@ -108,12 +108,9 @@ func renderRoutedSummary(cfg RunConfig, results []*cluster.ServerResult, meters 
 // counters and latency aggregated over every server, which the caller
 // prints after its front door's section.
 func writeServers(b *strings.Builder, results []*cluster.ServerResult, meters []*obs.Meter, header func(i int) string) string {
-	agg := obs.Counters{}
-	merged := obs.NewLatencyHist()
+	agg, merged := obs.MergeMeters(meters)
 	for i, res := range results {
 		c := meters[i].Counters()
-		agg.Add(&c)
-		merged.Merge(meters[i].Hist())
 		fmt.Fprintf(b, "%s\n", header(i))
 		fmt.Fprintf(b, "  result: %s\n", res)
 		fmt.Fprintf(b, "  counters: %s\n", c)

@@ -1,5 +1,7 @@
 package sim
 
+import "slices"
+
 // Pool recycles model objects of one type, last in first out. Get hands
 // back the most recently Put object; with none waiting it carves a zeroed
 // object from a chunk-allocated array, so a pool that grows by one object
@@ -35,15 +37,25 @@ func (p *Pool[T]) Get() *T {
 	return x
 }
 
-// Put makes x the next object Get returns.
-func (p *Pool[T]) Put(x *T) { p.free = append(p.free, x) }
+// Put makes x the next object Get returns. The free list starts with room
+// for a chunk's worth of objects, so it does not reallocate at one, two,
+// four and eight on the way there.
+func (p *Pool[T]) Put(x *T) {
+	if p.free == nil {
+		p.free = make([]*T, 0, poolChunk)
+	}
+	p.free = append(p.free, x)
+}
 
 // Reserve makes the next n fresh objects come from one chunk, for an owner
 // that knows its first burst of demand, so that burst carves no unused
-// object.
+// object, and gives the free list room for all n of them.
 func (p *Pool[T]) Reserve(n int) {
 	if len(p.chunk) < n {
 		p.chunk = make([]T, n)
+	}
+	if cap(p.free) < n {
+		p.free = slices.Grow(p.free, n-len(p.free))
 	}
 }
 

@@ -3,7 +3,9 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 )
 
 // chainCB schedules a follow-up event on its own engine until limit events
@@ -282,6 +284,68 @@ func TestShardGroupAddFunc(t *testing.T) {
 			t.Fatalf("member fired %d events, want 12", len(fnCB.log))
 		}
 	})
+}
+
+// TestShardGroupMemberHorizon: a member whose advance clamps at its own
+// horizon, as cluster.Server.StepTo does, keeps a later event pending.
+// Declared with SetHorizon, that event counts as no event, so the linked
+// neighbour runs on to the group's horizon. Undeclared, the event pins the
+// neighbour's cap below it and the group panics naming the member instead
+// of looping on empty windows. Each Run gets a deadline, so a spin fails
+// the test rather than hanging it.
+func TestShardGroupMemberHorizon(t *testing.T) {
+	build := func(declare bool) (*ShardGroup, *chainCB, *chainCB) {
+		g := NewShardGroup(1)
+		clamped, other := NewEngine(), NewEngine()
+		late := &chainCB{eng: clamped, step: 1, limit: 1}
+		clamped.CallAt(1100, late, 0, nil, nil)
+		next := &chainCB{eng: other, step: 1, limit: 1}
+		other.CallAt(1400, next, 0, nil, nil)
+		a := g.AddFunc(clamped, func(to Time) { clamped.Run(min(to, 1000)) })
+		if declare {
+			g.SetHorizon(a, 1000)
+		}
+		b := g.Add(other)
+		g.Link(a, b, 100)
+		g.Link(b, a, 100)
+		return g, late, next
+	}
+	run := func(g *ShardGroup) any {
+		done := make(chan any, 1)
+		go func() {
+			defer func() { done <- recover() }()
+			g.Run(1500)
+		}()
+		select {
+		case p := <-done:
+			return p
+		case <-time.After(5 * time.Second):
+			t.Fatal("Run(1500) did not return within 5 s")
+			return nil
+		}
+	}
+
+	g, late, next := build(true)
+	if p := run(g); p != nil {
+		t.Fatalf("declared horizon: Run panicked: %v", p)
+	}
+	if len(late.log) != 0 || !reflect.DeepEqual(next.log, []Time{1400}) {
+		t.Fatalf("past-horizon event fired at %v, neighbour's event at %v; want none and [1400]", late.log, next.log)
+	}
+	for _, m := range g.members {
+		if m.doneTo != 1500 {
+			t.Fatalf("member %d ran to %v, want 1500", m.id, m.doneTo)
+		}
+	}
+
+	g, _, next = build(false)
+	p := run(g)
+	if msg, ok := p.(string); !ok || !strings.Contains(msg, "member 0 has run to 1299ps with its floor at 1100ps") {
+		t.Fatalf("undeclared horizon: panic %v, want a stall naming member 0 and its floor", p)
+	}
+	if len(next.log) != 0 {
+		t.Fatalf("neighbour ran to %v past the stalled member's floor", next.log)
+	}
 }
 
 func BenchmarkShardGroupFleet(b *testing.B) {
