@@ -37,6 +37,18 @@ func (s *Server) MeasureWindow() (start, end sim.Time) {
 // directly — advance the server with StepTo as usual.
 func (s *Server) Engine() *sim.Engine { return s.eng }
 
+// JoinGroup adds the server to g as a member advanced by StepTo and
+// declares the horizon StepTo clamps at (sim.ShardGroup.SetHorizon), so an
+// event left pending past it never holds a linked neighbour back. It may be
+// called before Start: the horizon comes from the config's run window.
+// Returns the member id.
+func (s *Server) JoinGroup(g *sim.ShardGroup) int {
+	m := g.AddFunc(s.eng, func(to sim.Time) { s.StepTo(to) })
+	_, _, _, horizon := s.cfg.RunWindow()
+	g.SetHorizon(m, horizon)
+	return m
+}
+
 // EventsFired reports how many engine events have executed so far.
 func (s *Server) EventsFired() uint64 { return s.eng.Fired() }
 

@@ -3,6 +3,7 @@ package cluster
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"hardharvest/internal/faults"
 	"hardharvest/internal/obs"
@@ -268,5 +269,54 @@ func TestCompoundedDegradeSaturates(t *testing.T) {
 	s.StepTo(s.Horizon())
 	if res := s.Finish(); res.InvariantViolations != 0 {
 		t.Fatalf("%d invariant violations: %s", res.InvariantViolations, res.FirstViolation)
+	}
+}
+
+// TestJoinGroupDeclaresHorizon: a server's engine keeps events past its
+// horizon that StepTo never runs. JoinGroup, called before Start, declares
+// that horizon, so a linked server with a later horizon runs on to its own
+// instead of stalling behind them, and each server finishes exactly as a
+// plain Run of the same config does (the links carry no messages).
+func TestJoinGroupDeclaresHorizon(t *testing.T) {
+	short, long := liveConfig(), liveConfig()
+	long.Seed++
+	long.MeasureDuration *= 2
+	opts := SystemOptions(HardHarvestBlock)
+	g := sim.NewShardGroup(1)
+	a := NewServer(short, opts, bfs(t))
+	b := NewServer(long, opts, bfs(t))
+	ma, mb := a.JoinGroup(g), b.JoinGroup(g)
+	g.Link(ma, mb, sim.Millisecond)
+	g.Link(mb, ma, sim.Millisecond)
+	a.Start()
+	b.Start()
+	if a.Horizon() >= b.Horizon() {
+		t.Fatalf("horizons %v and %v: want the first earlier", a.Horizon(), b.Horizon())
+	}
+	done := make(chan any, 1)
+	go func() {
+		defer func() { done <- recover() }()
+		g.Run(b.Horizon())
+	}()
+	select {
+	case p := <-done:
+		if p != nil {
+			t.Fatalf("group run panicked: %v", p)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("group run did not return")
+	}
+	if a.EventsPending() == 0 {
+		t.Fatal("the short server holds no event past its horizon: the test pins nothing")
+	}
+	for _, c := range []struct {
+		srv *Server
+		cfg Config
+	}{{a, short}, {b, long}} {
+		got, want := c.srv.Finish(), NewServer(c.cfg, opts, bfs(t)).Run()
+		if got.Requests != want.Requests || got.Arrivals != want.Arrivals || got.HarvestJobs != want.HarvestJobs {
+			t.Fatalf("grouped server: %d requests, %d arrivals, %d jobs; alone: %d, %d, %d",
+				got.Requests, got.Arrivals, got.HarvestJobs, want.Requests, want.Arrivals, want.HarvestJobs)
+		}
 	}
 }
