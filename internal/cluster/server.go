@@ -261,8 +261,11 @@ type Server struct {
 	reqPool   sim.Pool[request]
 	phaseBufs sim.Pool[phaseBuf]
 	// pinPool recycles pin-release event payloads; each returns to the
-	// pool when its event fires.
+	// pool when its event fires. pinLane queues the GuestMigrateDelay
+	// releases, which all fire one fixed delay after they are scheduled; it
+	// is made at the first pin.
 	pinPool sim.Pool[pinRelease]
+	pinLane *sim.Lane
 
 	// moveBusyUntil serializes software core moves: hypervisor detach and
 	// attach operations take a global lock (§4.1.1), so moves queue behind
@@ -1513,7 +1516,10 @@ func (s *Server) pinRequest(v *vmRT, r *request) {
 	if s.idleCoreOf(v) != nil {
 		s.schedulePinRelease(v, r, s.pollDelay()+s.cfg.SWCtxSw)
 	}
-	s.schedulePinRelease(v, r, s.cfg.GuestMigrateDelay)
+	if s.pinLane == nil {
+		s.pinLane = s.eng.NewLane(s.cfg.GuestMigrateDelay)
+	}
+	s.pinLane.Call(s, opPinRelease, nil, s.newPinRelease(v, r))
 }
 
 // pinRelease is the payload of one opPinRelease event: the pinned request,
@@ -1527,11 +1533,16 @@ type pinRelease struct {
 // schedulePinRelease schedules releasePin behind a request-generation guard:
 // redundant release events can outlive the request (it may complete and be
 // recycled through the pool first), and the guard keeps a stale event from
-// acting on the slot's next occupant. The payload comes from pinPool.
+// acting on the slot's next occupant.
 func (s *Server) schedulePinRelease(v *vmRT, r *request, d sim.Duration) {
+	s.eng.ScheduleCall(d, s, opPinRelease, nil, s.newPinRelease(v, r))
+}
+
+// newPinRelease takes a release payload for r from pinPool.
+func (s *Server) newPinRelease(v *vmRT, r *request) *pinRelease {
 	pr := s.pinPool.Get()
 	*pr = pinRelease{v: v, r: r, gen: r.gen}
-	s.eng.ScheduleCall(d, s, opPinRelease, nil, pr)
+	return pr
 }
 
 // pinReleaseFired recycles the event's payload, then releases the pin if

@@ -86,7 +86,7 @@ type Harvester struct {
 	// the mismatch the paper exploits.
 	Alpha float64
 
-	preds map[int]*Predictor
+	preds []*Predictor // indexed by VM, nil until the VM is first seen
 }
 
 // NewHarvester builds an agent with the given costs and a 1 ms prediction
@@ -97,13 +97,15 @@ func NewHarvester(costs Costs) *Harvester {
 		Interval:    sim.Millisecond,
 		BufferCores: 1,
 		Alpha:       0.08,
-		preds:       make(map[int]*Predictor),
 	}
 }
 
 func (h *Harvester) pred(vm int) *Predictor {
-	p, ok := h.preds[vm]
-	if !ok {
+	for len(h.preds) <= vm {
+		h.preds = append(h.preds, nil)
+	}
+	p := h.preds[vm]
+	if p == nil {
 		p = NewPredictor(h.Alpha)
 		h.preds[vm] = p
 	}
@@ -116,7 +118,9 @@ func (h *Harvester) Observe(vm, busy int) { h.pred(vm).Observe(busy) }
 // EndWindow closes the current prediction window for every tracked VM.
 func (h *Harvester) EndWindow() {
 	for _, p := range h.preds {
-		p.EndWindow()
+		if p != nil {
+			p.EndWindow()
+		}
 	}
 }
 

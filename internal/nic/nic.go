@@ -45,13 +45,13 @@ func (l Latencies) ArrivalLatency() sim.Duration {
 // NIC routes arrivals to per-VM destinations and stamps payload addresses.
 type NIC struct {
 	lat     Latencies
-	vmTable map[int]bool // registered VM network addresses
+	vmTable []bool // registered VM network addresses, indexed by VM
 	nextBuf uint64
 }
 
 // New builds a NIC with the given latencies.
 func New(lat Latencies) *NIC {
-	return &NIC{lat: lat, vmTable: make(map[int]bool)}
+	return &NIC{lat: lat}
 }
 
 // Latencies reports the NIC's constants.
@@ -60,19 +60,20 @@ func (n *NIC) Latencies() Latencies { return n.lat }
 // RegisterVM installs a VM's network address in the NIC's software table
 // (every VM has its own network address, §4.1.3).
 func (n *NIC) RegisterVM(vm int) {
+	if vm < 0 {
+		panic(fmt.Sprintf("nic: negative VM %d", vm))
+	}
+	for len(n.vmTable) <= vm {
+		n.vmTable = append(n.vmTable, false)
+	}
 	n.vmTable[vm] = true
-}
-
-// DeregisterVM removes a VM from the table.
-func (n *NIC) DeregisterVM(vm int) {
-	delete(n.vmTable, vm)
 }
 
 // Deposit models packet arrival for a VM: it validates the destination,
 // allocates an LLC payload address (DDIO), and reports the latency until the
 // destination QM knows about the request.
 func (n *NIC) Deposit(vm int, payloadBytes int) (payloadAddr uint64, lat sim.Duration, err error) {
-	if !n.vmTable[vm] {
+	if vm < 0 || vm >= len(n.vmTable) || !n.vmTable[vm] {
 		return 0, 0, fmt.Errorf("nic: no route to VM %d", vm)
 	}
 	// Payload addresses are namespaced per packet; the LLC is partitioned

@@ -40,9 +40,11 @@ func TestDepositUnknownVM(t *testing.T) {
 	if _, _, err := n.Deposit(9, 64); err != nil {
 		t.Fatal(err)
 	}
-	n.DeregisterVM(9)
-	if _, _, err := n.Deposit(9, 64); err == nil {
-		t.Fatal("deregistered VM should error")
+	// VMs below and above a registered one stay unrouted.
+	for _, vm := range []int{-1, 0, 8, 10} {
+		if _, _, err := n.Deposit(vm, 64); err == nil {
+			t.Fatalf("unregistered VM %d should error", vm)
+		}
 	}
 }
 

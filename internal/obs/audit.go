@@ -28,7 +28,7 @@ type Audit struct {
 
 	// Little's law: inflight maps a measured call's first request id to
 	// its arrival time; integral advances by n·Δt at every event.
-	inflight map[uint64]sim.Time
+	inflight idTable
 	lastT    sim.Time
 	integral sim.Duration
 
@@ -42,7 +42,7 @@ type Audit struct {
 
 	// Queue waits: enq holds the last enqueue/unblock time per request id;
 	// the next dispatch of that id closes the episode.
-	enq       map[uint64]sim.Time
+	enq       idTable
 	waitSum   sim.Duration
 	waitCount uint64
 
@@ -52,17 +52,12 @@ type Audit struct {
 }
 
 // NewAudit returns an empty audit.
-func NewAudit() *Audit {
-	return &Audit{
-		inflight: make(map[uint64]sim.Time),
-		enq:      make(map[uint64]sim.Time),
-	}
-}
+func NewAudit() *Audit { return &Audit{} }
 
 // advance integrates N(t) up to now. Events arrive in nondecreasing time
 // order from the discrete-event engine.
 func (a *Audit) advance(now sim.Time) {
-	a.integral += sim.Duration(len(a.inflight)) * now.Sub(a.lastT)
+	a.integral += sim.Duration(a.inflight.len()) * now.Sub(a.lastT)
 	a.lastT = now
 }
 
@@ -85,11 +80,10 @@ func (a *Audit) Observe(ev Event) {
 	switch ev.Kind {
 	case KindEnqueue, KindUnblock:
 		if ev.Measured {
-			a.enq[ev.Req] = ev.Time
+			a.enq.put(ev.Req, ev.Time)
 		}
 	case KindDispatch:
-		if at, ok := a.enq[ev.Req]; ok {
-			delete(a.enq, ev.Req)
+		if at, ok := a.enq.take(ev.Req); ok {
 			a.waitSum += ev.Time.Sub(at)
 			a.waitCount++
 		}
@@ -100,22 +94,22 @@ func (a *Audit) Observe(ev Event) {
 	switch ev.Kind {
 	case KindArrival:
 		a.advance(ev.Time)
-		a.inflight[ev.Req] = ev.Time
+		a.inflight.put(ev.Req, ev.Time)
 		if !a.haveArrival {
 			a.firstArrival = ev.Time
 			a.haveArrival = true
 		}
 	case KindComplete:
-		if _, ok := a.inflight[ev.Req]; ok {
+		if a.inflight.has(ev.Req) {
 			a.advance(ev.Time)
-			delete(a.inflight, ev.Req)
+			a.inflight.take(ev.Req)
 			a.latSum += ev.Dur
 			a.latCount++
 		}
 	case KindDeadlineMiss:
-		if _, ok := a.inflight[ev.Req]; ok {
+		if a.inflight.has(ev.Req) {
 			a.advance(ev.Time)
-			delete(a.inflight, ev.Req)
+			a.inflight.take(ev.Req)
 			a.missSum += ev.Dur
 			a.missCount++
 		}
@@ -158,10 +152,8 @@ func (a *Audit) MissSum() (sim.Duration, uint64) { return a.missSum, a.missCount
 // their total residual sojourn (end − arrival each).
 func (a *Audit) Unresolved() (int, sim.Duration) {
 	var resid sim.Duration
-	for _, at := range a.inflight {
-		resid += a.end.Sub(at)
-	}
-	return len(a.inflight), resid
+	a.inflight.each(func(at sim.Time) { resid += a.end.Sub(at) })
+	return a.inflight.len(), resid
 }
 
 // FirstArrival reports the arrival time of the first measured request
@@ -180,3 +172,151 @@ func (a *Audit) MeanQueueWait() (sim.Duration, uint64) {
 // FlushRange reports the smallest and largest critical-path flush cost
 // seen (both zero if no flush occurred).
 func (a *Audit) FlushRange() (min, max sim.Duration) { return a.flushMin, a.flushMax }
+
+// idTable maps request ids to times without hashing. A server issues its
+// request ids in increasing order and only a few hundred are live at once,
+// so the table keeps a window [lo, hi) of ids, lo the oldest live one, in a
+// power-of-two ring indexed by id&mask. An id below the window extends it
+// downward. The ring doubles freely up to idRingFree slots and beyond that
+// only while at least one slot in eight is live; otherwise the oldest ids
+// leave the ring for a small overflow map, so one long-lived id cannot make
+// the ring grow with every id issued after it.
+type idTable struct {
+	slots []sim.Time // absent outside [lo, hi) and for ids not stored
+	lo    uint64
+	hi    uint64
+	live  int                 // ids stored in the ring
+	old   map[uint64]sim.Time // ids pushed out of the ring, nil until needed
+}
+
+const (
+	// absent marks an empty ring slot; event times are never negative.
+	absent = sim.Time(-1)
+	// idRingMin and idRingFree bound the ring's first size and the size it
+	// may double to regardless of how many of its ids are live.
+	idRingMin  = 32
+	idRingFree = 256
+)
+
+func (t *idTable) len() int { return t.live + len(t.old) }
+
+// slot returns the ring slot of an id inside the window.
+func (t *idTable) slot(id uint64) *sim.Time { return &t.slots[id&uint64(len(t.slots)-1)] }
+
+// put records at for id, replacing an earlier time for the same id.
+func (t *idTable) put(id uint64, at sim.Time) {
+	if len(t.old) > 0 {
+		delete(t.old, id)
+	}
+	if t.slots == nil {
+		t.resize(idRingMin)
+	}
+	for {
+		if t.live == 0 {
+			t.lo, t.hi = id, id
+		}
+		if max(t.hi, id+1)-min(t.lo, id) <= uint64(len(t.slots)) {
+			break
+		}
+		switch {
+		case len(t.slots) < idRingFree || 8*(t.live+1) > len(t.slots):
+			t.resize(2 * len(t.slots))
+		case id < t.lo:
+			t.keepOld(id, at)
+			return
+		default:
+			t.evictOldest()
+		}
+	}
+	t.lo, t.hi = min(t.lo, id), max(t.hi, id+1)
+	p := t.slot(id)
+	if *p == absent {
+		t.live++
+	}
+	*p = at
+}
+
+// take removes id, reporting its time and whether it was present.
+func (t *idTable) take(id uint64) (sim.Time, bool) {
+	if id >= t.lo && id < t.hi {
+		if p := t.slot(id); *p != absent {
+			at := *p
+			*p = absent
+			t.live--
+			if id == t.lo {
+				t.skipEmpty()
+			}
+			return at, true
+		}
+	}
+	if len(t.old) > 0 {
+		if at, ok := t.old[id]; ok {
+			delete(t.old, id)
+			return at, true
+		}
+	}
+	return 0, false
+}
+
+// has reports whether id is stored.
+func (t *idTable) has(id uint64) bool {
+	if id >= t.lo && id < t.hi && *t.slot(id) != absent {
+		return true
+	}
+	_, ok := t.old[id]
+	return ok
+}
+
+// each calls f with every stored time.
+func (t *idTable) each(f func(sim.Time)) {
+	for _, at := range t.slots {
+		if at != absent {
+			f(at)
+		}
+	}
+	for _, at := range t.old {
+		f(at)
+	}
+}
+
+// skipEmpty moves lo up to the oldest live id, or to hi when none is.
+func (t *idTable) skipEmpty() {
+	if t.live == 0 {
+		t.lo = t.hi
+		return
+	}
+	for *t.slot(t.lo) == absent {
+		t.lo++
+	}
+}
+
+// keepOld stores id in the overflow map.
+func (t *idTable) keepOld(id uint64, at sim.Time) {
+	if t.old == nil {
+		t.old = make(map[uint64]sim.Time)
+	}
+	t.old[id] = at
+}
+
+// evictOldest moves the oldest id in the ring to the overflow map.
+func (t *idTable) evictOldest() {
+	p := t.slot(t.lo)
+	t.keepOld(t.lo, *p)
+	*p = absent
+	t.live--
+	t.skipEmpty()
+}
+
+// resize moves the window into a ring of n slots.
+func (t *idTable) resize(n int) {
+	prev := t.slots
+	t.slots = make([]sim.Time, n)
+	for i := range t.slots {
+		t.slots[i] = absent
+	}
+	for id := t.lo; id < t.hi; id++ {
+		if at := prev[id&uint64(len(prev)-1)]; at != absent {
+			*t.slot(id) = at
+		}
+	}
+}

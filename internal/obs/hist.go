@@ -14,13 +14,20 @@ import (
 // sub-buckets per power of two, bounding the quantile error at ~3%.
 const histSubBits = 5
 
+// histFirstCap is the size of a histogram's first bucket array: two
+// octaves, so nearby latencies do not regrow it at once.
+const histFirstCap = 2 << histSubBits
+
 // LatencyHist is an HDR-style log-bucketed latency histogram over simulated
 // durations (integer picoseconds): values below 2^histSubBits are exact;
 // above that, each power of two is split into 2^histSubBits sub-buckets.
 // Recording is O(1) and allocation-free after the bucket array stops
-// growing.
+// growing. The bucket array is dense but starts at the lowest populated
+// bucket, so the always-empty buckets below the smallest latency are never
+// allocated or copied.
 type LatencyHist struct {
-	buckets []uint64
+	buckets []uint64 // buckets[i] counts bucket off+i
+	off     int
 	count   uint64
 	sum     sim.Duration
 	min     sim.Duration
@@ -60,10 +67,10 @@ func (h *LatencyHist) Record(d sim.Duration) {
 		d = 0
 	}
 	i := bucketOf(int64(d))
-	if i >= len(h.buckets) {
-		h.grow(i + 1)
+	if i < h.off || i >= h.off+len(h.buckets) {
+		h.cover(i, i+1)
 	}
-	h.buckets[i]++
+	h.buckets[i-h.off]++
 	h.count++
 	h.sum += d
 	if h.min < 0 || d < h.min {
@@ -74,17 +81,32 @@ func (h *LatencyHist) Record(d sim.Duration) {
 	}
 }
 
-// grow extends the bucket slice to n buckets. The backing array grows
-// geometrically, so a run of ever-larger maxima reallocates O(log n)
-// times; buckets past len are never written, so they are still zero when
-// a later grow takes them in.
-func (h *LatencyHist) grow(n int) {
-	if n > cap(h.buckets) {
-		grown := make([]uint64, len(h.buckets), max(n, 2*cap(h.buckets)))
-		copy(grown, h.buckets)
-		h.buckets = grown
+// cover extends the bucket array to hold buckets [lo, hi). The backing
+// array grows geometrically, so a run of ever-larger maxima (or
+// ever-smaller minima) reallocates O(log n) times: growth upward keeps its
+// spare capacity past the end, and growth downward places it below the new
+// lowest bucket. Buckets past len are never written, so they are still
+// zero when a later cover takes them in. The first array holds
+// histFirstCap buckets, a quarter of them below the first one covered.
+func (h *LatencyHist) cover(lo, hi int) {
+	if len(h.buckets) == 0 {
+		lo = max(0, lo-histFirstCap/4)
+		h.buckets, h.off = make([]uint64, hi-lo, max(hi-lo, histFirstCap)), lo
+		return
 	}
-	h.buckets = h.buckets[:n]
+	end := h.off + len(h.buckets)
+	lo, hi = min(lo, h.off), max(hi, end)
+	if lo == h.off && hi-lo <= cap(h.buckets) {
+		h.buckets = h.buckets[:hi-lo]
+		return
+	}
+	n := max(hi-lo, 2*cap(h.buckets))
+	if lo < h.off {
+		lo = max(0, hi-n)
+	}
+	grown := make([]uint64, hi-lo, n)
+	copy(grown[h.off-lo:], h.buckets)
+	h.buckets, h.off = grown, lo
 }
 
 // Count reports recorded samples.
@@ -136,7 +158,7 @@ func (h *LatencyHist) Quantile(q float64) sim.Duration {
 	for i, c := range h.buckets {
 		seen += c
 		if seen > target {
-			u := bucketUpper(i)
+			u := bucketUpper(h.off + i)
 			if u > h.max {
 				u = h.max
 			}
@@ -166,11 +188,9 @@ func (h *LatencyHist) Merge(o *LatencyHist) {
 	if o == nil || o.count == 0 {
 		return
 	}
-	if len(o.buckets) > len(h.buckets) {
-		h.grow(len(o.buckets))
-	}
+	h.cover(o.off, o.off+len(o.buckets))
 	for i, c := range o.buckets {
-		h.buckets[i] += c
+		h.buckets[o.off-h.off+i] += c
 	}
 	h.count += o.count
 	h.sum += o.sum
@@ -192,7 +212,7 @@ func (h *LatencyHist) CumulativeBuckets(bounds []sim.Duration) []uint64 {
 	out := make([]uint64, len(bounds))
 	i, cum := 0, uint64(0)
 	for bi, bound := range bounds {
-		for i < len(h.buckets) && bucketUpper(i) <= bound {
+		for i < len(h.buckets) && bucketUpper(h.off+i) <= bound {
 			cum += h.buckets[i]
 			i++
 		}
@@ -224,7 +244,7 @@ func (h *LatencyHist) Nonzero() ([]sim.Duration, []uint64) {
 	var counts []uint64
 	for i, c := range h.buckets {
 		if c > 0 {
-			edges = append(edges, bucketUpper(i))
+			edges = append(edges, bucketUpper(h.off+i))
 			counts = append(counts, c)
 		}
 	}

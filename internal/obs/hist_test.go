@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -241,10 +242,12 @@ func TestHistMergeEqualsCombinedRecording(t *testing.T) {
 
 // TestRecordGrowthAmortised: recording ever-larger values, then ever-
 // smaller ones, reallocates the bucket slice O(log n) times, not once per
-// new maximum.
+// new maximum, and the slice ends at the largest bucket recorded and
+// starts no lower than a quarter of the first array below the smallest.
 func TestRecordGrowthAmortised(t *testing.T) {
 	const n = 10000
-	var buckets int
+	var buckets, off int
+	var minV sim.Duration
 	allocs := testing.AllocsPerRun(1, func() {
 		h := NewLatencyHist()
 		v := 1000.0
@@ -256,12 +259,92 @@ func TestRecordGrowthAmortised(t *testing.T) {
 			v /= 1.001
 			h.Record(sim.Duration(v))
 		}
-		buckets = len(h.buckets)
+		buckets, off, minV = len(h.buckets), h.off, h.Min()
 	})
-	if want := bucketOf(int64(1000 * math.Pow(1.001, n-1))); buckets != want+1 {
-		t.Fatalf("%d buckets, want %d", buckets, want+1)
+	if want := bucketOf(int64(1000 * math.Pow(1.001, n-1))); off+buckets != want+1 {
+		t.Fatalf("buckets end at %d, want %d", off+buckets, want+1)
+	}
+	if low := bucketOf(int64(minV)); off > low || off < low-histFirstCap/4 {
+		t.Fatalf("buckets start at %d, want within %d below %d", off, histFirstCap/4, low)
 	}
 	// One for the histogram, one per doubling of the bucket slice.
+	if limit := 2 + math.Log2(float64(buckets)); allocs > limit {
+		t.Fatalf("%v allocations for %d buckets, want at most %.0f", allocs, buckets, limit)
+	}
+}
+
+// TestHistLayoutIndependent: where the bucket array starts is invisible.
+// The same samples recorded ascending, descending or shuffled, or split by
+// range over histograms merged in either order, give identical nonzero
+// buckets, cumulative buckets, quantiles and rendering.
+func TestHistLayoutIndependent(t *testing.T) {
+	var vals []sim.Duration
+	for i := 0; i < 2000; i++ {
+		vals = append(vals, sim.Duration(1+i*i*37%5_000_000)*sim.Nanosecond/7)
+	}
+	record := func(order []int) *LatencyHist {
+		h := NewLatencyHist()
+		for _, i := range order {
+			h.Record(vals[i])
+		}
+		return h
+	}
+	asc, desc, shuf := make([]int, len(vals)), make([]int, len(vals)), make([]int, len(vals))
+	for i := range vals {
+		asc[i] = i
+		desc[i] = len(vals) - 1 - i
+		shuf[i] = i * 769 % len(vals)
+	}
+	sort.Slice(asc, func(i, j int) bool { return vals[asc[i]] < vals[asc[j]] })
+	sort.Slice(desc, func(i, j int) bool { return vals[desc[i]] > vals[desc[j]] })
+	want := record(shuf)
+	lowHigh := func(lowFirst bool) *LatencyHist {
+		low, high := NewLatencyHist(), NewLatencyHist()
+		for _, v := range vals {
+			if v < sim.Microsecond*50 {
+				low.Record(v)
+			} else {
+				high.Record(v)
+			}
+		}
+		if lowFirst {
+			low.Merge(high)
+			return low
+		}
+		high.Merge(low)
+		return high
+	}
+	bounds := []sim.Duration{sim.Nanosecond, sim.Microsecond, 10 * sim.Microsecond, sim.Millisecond, 700 * sim.Microsecond * 1000}
+	for name, h := range map[string]*LatencyHist{
+		"ascending": record(asc), "descending": record(desc),
+		"low merged into high": lowHigh(false), "high merged into low": lowHigh(true),
+		"clone": want.Clone(),
+	} {
+		if h.String() != want.String() {
+			t.Errorf("%s: %s, want %s", name, h, want)
+		}
+		e1, c1 := h.Nonzero()
+		e2, c2 := want.Nonzero()
+		if fmt.Sprint(e1, c1) != fmt.Sprint(e2, c2) {
+			t.Errorf("%s: nonzero buckets differ", name)
+		}
+		if got, w := h.CumulativeBuckets(bounds), want.CumulativeBuckets(bounds); fmt.Sprint(got) != fmt.Sprint(w) {
+			t.Errorf("%s: cumulative buckets %v, want %v", name, got, w)
+		}
+	}
+}
+
+// TestRecordGrowthDownwardAmortised: ever-smaller values regrow the bucket
+// array O(log n) times too.
+func TestRecordGrowthDownwardAmortised(t *testing.T) {
+	var buckets int
+	allocs := testing.AllocsPerRun(1, func() {
+		h := NewLatencyHist()
+		for v := 1e10; v >= 1; v /= 1.001 {
+			h.Record(sim.Duration(v))
+		}
+		buckets = len(h.buckets)
+	})
 	if limit := 2 + math.Log2(float64(buckets)); allocs > limit {
 		t.Fatalf("%v allocations for %d buckets, want at most %.0f", allocs, buckets, limit)
 	}

@@ -51,13 +51,22 @@ func (m *Meter) Hist() *LatencyHist { return m.hist }
 
 // MergeMeters folds the meters' counters and latency histograms, in order,
 // into a fresh Counters and a fresh histogram. The histogram's bucket array
-// is sized once, to the widest meter's, so the merge never regrows it.
+// is sized once, to the span of all the meters' buckets, so the merge never
+// regrows it.
 func MergeMeters(ms []*Meter) (Counters, *LatencyHist) {
-	n := 0
+	c, h := Counters{}, NewLatencyHist()
+	lo, hi := -1, 0
 	for _, m := range ms {
-		n = max(n, len(m.hist.buckets))
+		if o := m.hist; len(o.buckets) > 0 {
+			if lo < 0 || o.off < lo {
+				lo = o.off
+			}
+			hi = max(hi, o.off+len(o.buckets))
+		}
 	}
-	c, h := Counters{}, &LatencyHist{buckets: make([]uint64, 0, n), min: -1}
+	if lo >= 0 {
+		h.buckets, h.off = make([]uint64, hi-lo), lo
+	}
 	for _, m := range ms {
 		c.Add(&m.counters)
 		h.Merge(m.hist)

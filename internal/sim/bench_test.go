@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 // The engine benchmarks pin the allocation contract of the hot path: once
 // the slab and free list are warm, ScheduleCall/fire cycles must not
@@ -111,5 +114,48 @@ func TestEngineCancelAllocFree(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("warm Schedule+Cancel allocates %.1f per cycle, want 0", avg)
+	}
+}
+
+// holdSink reschedules itself at a pseudo-random delay each time it fires,
+// so the queue keeps a constant depth: the classic hold model of
+// event-queue benchmarks.
+type holdSink struct {
+	e *Engine
+	x uint64
+}
+
+func (s *holdSink) OnEvent(op int32, a, b any) {
+	s.x = s.x*6364136223846793005 + 1442695040888963407
+	s.e.ScheduleCall(Duration(1+(s.x>>33)%10000)*Nanosecond, s, op, a, b)
+}
+
+// BenchmarkEngineHold fires one event per op from a queue held at 64
+// pending events, about the mean depth of a simulated server's queue: each
+// fire pops the minimum and pushes its successor. Each op runs to the next
+// event's time, which almost always holds one event.
+func BenchmarkEngineHold(b *testing.B) {
+	e := NewEngine()
+	sink := &holdSink{e: e, x: 7}
+	for i := 0; i < 64; i++ {
+		sink.OnEvent(0, nil, nil)
+	}
+	e.Run(e.Now().Add(Millisecond)) // warm the slab and free list
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t, _ := e.NextEventTime()
+		e.Run(t)
+	}
+}
+
+// TestEventRecordSizes pins the queue's memory layout: a slab record fills
+// one 64-byte cache line, and a heap entry carries its key in 24 bytes.
+func TestEventRecordSizes(t *testing.T) {
+	if n := unsafe.Sizeof(eventRec{}); n != 64 {
+		t.Errorf("eventRec is %d bytes, want 64", n)
+	}
+	if n := unsafe.Sizeof(heapEntry{}); n != 24 {
+		t.Errorf("heapEntry is %d bytes, want 24", n)
 	}
 }

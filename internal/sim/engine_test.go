@@ -326,9 +326,14 @@ func TestEngineAtPast(t *testing.T) {
 	e.RunAll()
 }
 
-// TestEngineRandomizedHeapInvariants drives a long random Schedule/Cancel/
-// fire sequence and checks the pop order stays sorted by (when, seq), no
-// cancelled event fires, and every surviving event fires exactly once.
+// TestEngineRandomizedHeapInvariants drives a long random sequence of
+// direct events and events on two lanes (same delay, so lane events tie
+// with each other and with direct events at the same instant), cancels
+// (direct events, lane heads, entries in the middle of a lane, settled
+// events), partial runs, nested scheduling from callbacks, and lanes
+// drained and refilled. A reference that orders every scheduled event by
+// (when, seq) checks each fire is the earliest pending event, and checks
+// Pending, State and EventTime against it.
 func TestEngineRandomizedHeapInvariants(t *testing.T) {
 	e := NewEngine()
 	x := uint64(99)
@@ -336,53 +341,198 @@ func TestEngineRandomizedHeapInvariants(t *testing.T) {
 		x = x*6364136223846793005 + 1442695040888963407
 		return (x >> 17) % n
 	}
-	type tracked struct {
-		ev        Event
-		cancelled bool
-		fired     int
+	const laneDelay = 200 * Nanosecond
+	lanes := []*Lane{e.NewLane(laneDelay), e.NewLane(laneDelay)}
+
+	type refEv struct {
+		ev    Event
+		when  Time
+		seq   uint64
+		lane  int // 0 direct, else lanes[lane-1]
+		state EventState
 	}
-	var evs []*tracked
-	var lastWhen Time
-	for i := 0; i < 5000; i++ {
-		switch next(3) {
-		case 0, 1: // schedule
-			tr := &tracked{}
-			d := Duration(next(500)) * Nanosecond
-			seq := i
-			tr.ev = e.Schedule(d, func() {
-				tr.fired++
-				if e.Now() < lastWhen {
-					t.Fatalf("time went backwards at fire %d", seq)
-				}
-				lastWhen = e.Now()
-			})
-			evs = append(evs, tr)
-		case 2: // cancel a random live event
-			if len(evs) == 0 {
-				continue
+	var all, pending []*refEv
+	var seq uint64
+	// Coverage counters: the run must reach every case it is meant to.
+	var laneFires, ties, headCancels, midCancels int
+	var lastFire Time = -1
+	drop := func(r *refEv) {
+		for i, p := range pending {
+			if p == r {
+				pending[i] = pending[len(pending)-1]
+				pending = pending[:len(pending)-1]
+				return
 			}
-			tr := evs[next(uint64(len(evs)))]
-			if e.Cancel(tr.ev) {
-				tr.cancelled = true
+		}
+		t.Fatalf("event seq %d missing from the reference", r.seq)
+	}
+	earliest := func() *refEv {
+		var m *refEv
+		for _, p := range pending {
+			if m == nil || p.when < m.when || (p.when == m.when && p.seq < m.seq) {
+				m = p
+			}
+		}
+		return m
+	}
+	var schedule func(lane int)
+	var laneHead func(lane int) *refEv
+	fire := func(r *refEv) {
+		if m := earliest(); m != r {
+			t.Fatalf("fired (%v, %d), want earliest pending (%v, %d)", r.when, r.seq, m.when, m.seq)
+		}
+		if e.Now() != r.when {
+			t.Fatalf("fired at %v, scheduled for %v", e.Now(), r.when)
+		}
+		if st := e.State(r.ev); st != StateFiring {
+			t.Fatalf("state while firing = %v", st)
+		}
+		if at, ok := e.EventTime(r.ev); !ok || at != r.when {
+			t.Fatalf("EventTime while firing = %v, %v; want %v", at, ok, r.when)
+		}
+		if r.state != StatePending {
+			t.Fatalf("event seq %d fired in state %v", r.seq, r.state)
+		}
+		r.state = StateFired
+		drop(r)
+		if r.lane != 0 {
+			laneFires++
+		}
+		if r.when == lastFire {
+			ties++
+		}
+		lastFire = r.when
+		if next(8) == 0 { // nested scheduling from a callback
+			schedule(int(next(3)))
+		}
+	}
+	laneHead = func(lane int) *refEv {
+		var h *refEv
+		for _, p := range pending {
+			if p.lane == lane && (h == nil || p.seq < h.seq) {
+				h = p
+			}
+		}
+		return h
+	}
+	schedule = func(lane int) {
+		r := &refEv{seq: seq, lane: lane, state: StatePending}
+		seq++
+		cb := funcCall(func() { fire(r) })
+		if lane == 0 {
+			d := Duration(next(500)) * Nanosecond
+			if next(4) == 0 {
+				d = laneDelay // ties with lane events scheduled now
+			}
+			r.when = e.Now().Add(d)
+			r.ev = e.CallAt(r.when, cb, 0, nil, nil)
+		} else {
+			r.when = e.Now().Add(laneDelay)
+			r.ev = lanes[lane-1].Call(cb, 0, nil, nil)
+		}
+		all = append(all, r)
+		pending = append(pending, r)
+	}
+	cancel := func(r *refEv) {
+		got := e.Cancel(r.ev)
+		if got != (r.state == StatePending) {
+			t.Fatalf("Cancel of a %v event seq %d reported %v", r.state, r.seq, got)
+		}
+		if got && r.lane != 0 {
+			if laneHead(r.lane) == r {
+				headCancels++
+			} else {
+				midCancels++
+			}
+		}
+		if got {
+			r.state = StateCancelled
+			drop(r)
+		}
+	}
+	check := func() {
+		if e.Pending() != len(pending) {
+			t.Fatalf("Pending() = %d, reference holds %d", e.Pending(), len(pending))
+		}
+		for _, r := range all {
+			st := e.State(r.ev)
+			at, ok := e.EventTime(r.ev)
+			switch r.state {
+			case StatePending:
+				if st != StatePending || !ok || at != r.when {
+					t.Fatalf("pending event seq %d: state %v, EventTime %v, %v; want %v", r.seq, st, at, ok, r.when)
+				}
+			default:
+				// A settled handle answers until its slot is reused.
+				if (st != r.state && st != StateNone) || ok {
+					t.Fatalf("%v event seq %d: state %v, EventTime ok %v", r.state, r.seq, st, ok)
+				}
+			}
+		}
+	}
+
+	for i := 0; i < 4000; i++ {
+		switch op := next(12); {
+		case op < 4:
+			schedule(0)
+		case op < 8:
+			schedule(1 + int(op%2))
+		case op < 10: // cancel a random event, in any state
+			if len(all) > 0 {
+				cancel(all[next(uint64(len(all)))])
+			}
+		case op == 10: // cancel a lane's head or an event behind it
+			lane := 1 + int(next(2))
+			var on []*refEv
+			for _, p := range pending {
+				if p.lane == lane {
+					on = append(on, p)
+				}
+			}
+			if len(on) > 0 {
+				if next(3) == 0 {
+					cancel(laneHead(lane))
+				} else {
+					cancel(on[next(uint64(len(on)))])
+				}
+			}
+		default: // cancel every event on a lane, then refill it
+			if next(8) == 0 {
+				lane := 1 + int(next(2))
+				for h := laneHead(lane); h != nil; h = laneHead(lane) {
+					cancel(h)
+				}
+				schedule(lane)
+				schedule(lane)
 			}
 		}
 		if next(10) == 0 {
 			// Partial drain keeps schedule/fire interleaved.
 			e.Run(e.Now().Add(Duration(next(200)) * Nanosecond))
 		}
+		if next(500) == 0 {
+			e.RunAll() // drain both lanes; later calls refill them
+		}
+		if i%50 == 0 {
+			check()
+		}
 	}
 	e.RunAll()
-	for i, tr := range evs {
-		if tr.cancelled && tr.fired > 0 {
-			t.Fatalf("event %d fired after cancel", i)
-		}
-		if !tr.cancelled && tr.fired != 1 {
-			t.Fatalf("event %d fired %d times", i, tr.fired)
-		}
-	}
+	check()
 	if e.Pending() != 0 {
 		t.Fatalf("pending = %d after RunAll", e.Pending())
 	}
+	for _, l := range lanes {
+		if l.n != 0 {
+			t.Fatalf("lane ring holds %d entries after RunAll", l.n)
+		}
+	}
+	if laneFires == 0 || ties == 0 || headCancels == 0 || midCancels == 0 {
+		t.Fatalf("coverage: %d lane fires, %d same-instant fires, %d head and %d mid-lane cancels",
+			laneFires, ties, headCancels, midCancels)
+	}
+	t.Logf("%d events: %d lane fires, %d same-instant fires, %d head and %d mid-lane cancels",
+		len(all), laneFires, ties, headCancels, midCancels)
 }
 
 func TestEngineCancelMiddleOfHeap(t *testing.T) {
