@@ -222,6 +222,7 @@ type Server struct {
 	flushRNG *stats.RNG
 	pollRNG  *stats.RNG
 	jobRNG   *stats.RNG
+	jobs     batch.JobSampler // hwork's job demands, drawn from jobRNG
 	batchRNG *stats.RNG
 	// batchScratch backs flash-batch sampling; onArrival copies the phases
 	// into the pooled request before the next sample reuses it.
@@ -333,6 +334,9 @@ func NewServer(cfg Config, opts Options, work *batch.Workload) *Server {
 	s.flushRNG = root.Split(1)
 	s.pollRNG = root.Split(2)
 	s.jobRNG = root.Split(3)
+	if work != nil {
+		s.jobs = work.Sampler()
+	}
 	s.batchRNG = root.Split(6)
 	seriesRNG := root.Split(4)
 	instRNG := root.Split(5)
@@ -1333,7 +1337,7 @@ func (s *Server) refillJobs() {
 		job.vmIdx = s.harvestIdx
 		job.isJob = true
 		job.arrival = s.now()
-		s.setPhases(job, []workload.Phase{{CPU: s.hwork.SampleJob(s.jobRNG)}})
+		s.setPhases(job, []workload.Phase{{CPU: s.jobs.Sample(s.jobRNG)}})
 		s.setReqState(job, rsQueued)
 		if s.obs != nil {
 			s.ev(obs.KindEnqueue, job, -1, 0)

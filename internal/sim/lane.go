@@ -52,7 +52,7 @@ func (l *Lane) Call(cb Callback, op int32, a, b any) Event {
 	e := l.e
 	x := e.newEvent(e.now.Add(l.delay), cb, op, a, b, l.id)
 	if l.n == 0 {
-		e.heapPush(x)
+		e.push(x)
 	} else {
 		e.parked++
 	}
@@ -89,7 +89,7 @@ func (l *Lane) advance() {
 		x := l.ring[l.head]
 		if e.slab[x.slot].state == StatePending {
 			e.parked--
-			e.heapPush(x)
+			e.push(x)
 			return
 		}
 		e.release(x.slot)

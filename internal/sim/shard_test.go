@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -433,4 +435,210 @@ func TestShardGroupFired(t *testing.T) {
 	if got := g.Fired(); got != 4 {
 		t.Fatalf("Fired at the horizon = %d, want 4", got)
 	}
+}
+
+// propMember is one member of a randomized fleet. Each event it fires is
+// logged, and spawns up to two more: local events, direct or on the
+// member's lane, and messages over the member's outbound links. What an
+// event spawns, and when, is drawn from a hash of its tag and its member,
+// not from a stream, so a member fires the same set of events however
+// events that share an instant are ordered.
+type propMember struct {
+	g    *ShardGroup
+	id   int
+	eng  *Engine
+	lane *Lane
+	salt uint64
+	out  []propLink
+	log  []propRec
+	sent int
+}
+
+type propLink struct {
+	dst *propMember
+	la  Duration
+}
+
+// propRec is one fired event: when, and its tag (generation in the top
+// byte, lineage hash below).
+type propRec struct {
+	at  Time
+	tag uint32
+}
+
+// propMaxGen bounds an event's lineage; with a mean of 0.9 children per
+// event, fleets stay small long before it.
+const propMaxGen = 40
+
+func splitmix(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+func (m *propMember) OnEvent(op int32, _, _ any) {
+	tag := uint32(op)
+	m.log = append(m.log, propRec{m.eng.Now(), tag})
+	gen := tag >> 24
+	if gen >= propMaxGen {
+		return
+	}
+	h := splitmix(uint64(tag) ^ m.salt)
+	kids := [10]uint64{0, 0, 0, 1, 1, 1, 1, 1, 2, 2}[h%10]
+	for j := uint64(0); j < kids; j++ {
+		d := splitmix(h + j)
+		child := int32((gen+1)<<24 | uint32(d>>40)&0xffffff)
+		switch k := d % 5; {
+		case k == 0:
+			m.eng.ScheduleCall(Duration(d>>8%40), m, child, nil, nil)
+		case k == 1:
+			m.lane.Call(m, child, nil, nil)
+		case len(m.out) > 0:
+			l := m.out[d>>16%uint64(len(m.out))]
+			m.g.Send(m.id, l.dst.id, l.la+Duration(d>>24%30), l.dst, child, nil, nil)
+			m.sent++
+		}
+	}
+}
+
+// propFleet builds the randomized fleet drawn from seed on a group with
+// the given workers: 2 to 6 members, each ordered pair linked with
+// probability 2/5 (so cycles are common) at a lookahead of 1 to 60 ps, a
+// third of the members clamped at a declared horizon of their own, and 4
+// to 20 starting events per member.
+func propFleet(seed uint64, workers int) (*ShardGroup, []*propMember, Time) {
+	x := seed
+	draw := func(n uint64) uint64 {
+		x = splitmix(x)
+		return x % n
+	}
+	g := NewShardGroup(workers)
+	horizon := Time(2000 + draw(3000))
+	ms := make([]*propMember, 2+draw(5))
+	for i := range ms {
+		eng := NewEngine()
+		m := &propMember{g: g, eng: eng, lane: eng.NewLane(Duration(1 + draw(80))), salt: splitmix(seed<<8 | uint64(i))}
+		if draw(3) == 0 {
+			h := horizon/2 + Time(draw(uint64(horizon/2)))
+			m.id = g.AddFunc(eng, func(to Time) { eng.Run(min(to, h)) })
+			g.SetHorizon(m.id, h)
+		} else {
+			m.id = g.Add(eng)
+		}
+		for k := 4 + draw(17); k > 0; k-- {
+			eng.CallAt(Time(draw(uint64(horizon/2))), m, int32(draw(1<<24)), nil, nil)
+		}
+		ms[i] = m
+	}
+	for _, src := range ms {
+		for _, dst := range ms {
+			if src != dst && draw(5) < 2 {
+				la := Duration(1 + draw(60))
+				g.Link(src.id, dst.id, la)
+				src.out = append(src.out, propLink{dst: dst, la: la})
+			}
+		}
+	}
+	return g, ms, horizon
+}
+
+// TestShardGroupRandomizedFleets is the coordinator's property test over
+// randomized fleets (propFleet). Run always returns, within a deadline.
+// Every member's event log, fired count and clock are the same at 1, 2
+// and 8 workers, for one Run to the horizon and for many Runs at a random
+// non-decreasing cadence. One Run and many fire the same events at the
+// same instants in every member, but not always in the same order within
+// an instant: a delivered message takes its engine sequence number when it
+// is delivered, at a window boundary, so where it falls among other events
+// due at its instant (local ones, or messages delivered in another window)
+// depends on the boundaries, and a Run stop adds one. The test counts the
+// fleets where that happens rather than failing on them.
+func TestShardGroupRandomizedFleets(t *testing.T) {
+	type outcome struct {
+		logs  [][]propRec
+		fired []uint64
+		now   []Time
+	}
+	run := func(seed uint64, workers int, cadence bool) (o outcome, sent int) {
+		g, ms, horizon := propFleet(seed, workers)
+		var stops []Time
+		if cadence {
+			x := seed ^ 0x5bd1e995
+			for at := Time(0); at < horizon; {
+				x = splitmix(x)
+				at = min(horizon, at+Time(x%uint64(horizon/4)))
+				stops = append(stops, at)
+			}
+		}
+		stops = append(stops, horizon)
+		done := make(chan any, 1)
+		go func() {
+			defer func() { done <- recover() }()
+			for _, at := range stops {
+				g.Run(at)
+			}
+		}()
+		select {
+		case p := <-done:
+			if p != nil {
+				t.Fatalf("seed %d, %d workers, cadence %v: Run panicked: %v", seed, workers, cadence, p)
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatalf("seed %d, %d workers, cadence %v: Run did not return within 20 s", seed, workers, cadence)
+		}
+		for _, m := range ms {
+			o.logs = append(o.logs, m.log)
+			o.fired = append(o.fired, m.eng.Fired())
+			o.now = append(o.now, m.eng.Now())
+			sent += m.sent
+		}
+		return o, sent
+	}
+	// byInstant sorts a copy of each log by (time, tag): the order-free
+	// view one Run and many must agree on.
+	byInstant := func(o outcome) outcome {
+		n := o
+		n.logs = nil
+		for _, l := range o.logs {
+			l = slices.Clone(l)
+			slices.SortFunc(l, func(x, y propRec) int {
+				if c := cmp.Compare(x.at, y.at); c != 0 {
+					return c
+				}
+				return cmp.Compare(x.tag, y.tag)
+			})
+			n.logs = append(n.logs, l)
+		}
+		return n
+	}
+	const fleets = 30
+	var events, sent, reordered int
+	for seed := uint64(1); seed <= fleets; seed++ {
+		once, n := run(seed, 1, false)
+		sent += n
+		for _, f := range once.fired {
+			events += int(f)
+		}
+		for _, workers := range []int{2, 8} {
+			if got, _ := run(seed, workers, false); !reflect.DeepEqual(got, once) {
+				t.Fatalf("seed %d: members' logs at %d workers differ from one worker", seed, workers)
+			}
+		}
+		stepped, _ := run(seed, 1, true)
+		if got, _ := run(seed, 8, true); !reflect.DeepEqual(got, stepped) {
+			t.Fatalf("seed %d: members' logs over many Runs differ between 1 and 8 workers", seed)
+		}
+		if !reflect.DeepEqual(byInstant(stepped), byInstant(once)) {
+			t.Fatalf("seed %d: members fire different events over many Runs than over one", seed)
+		}
+		if !reflect.DeepEqual(stepped, once) {
+			reordered++
+		}
+	}
+	if sent == 0 {
+		t.Fatal("no message crossed members: the fleets test nothing")
+	}
+	t.Logf("%d fleets: %d events, %d messages; %d fleets order some same-instant events differently over many Runs",
+		fleets, events, sent, reordered)
 }

@@ -142,10 +142,32 @@ func (inv Invocation) IOCalls() int {
 
 // SampleScratch holds the reusable buffers SampleInto draws into. One
 // scratch serves one sampling stream: the returned Invocation aliases the
-// scratch, so each call invalidates the previous call's phases.
+// scratch, so each call invalidates the previous call's phases. It also
+// remembers the per-draw constants of the profile values it last sampled,
+// so a stream takes no logarithm or exponential per draw while those
+// values stay the same.
 type SampleScratch struct {
 	phases  []Phase
 	weights []float64 // same capacity as phases
+	// cpuLog, ioLog and ioZero hold log(MeanCPU), log(IOMean) and
+	// exp(-MeanIOCalls).
+	cpuLog, ioLog, ioZero memo
+}
+
+// memo remembers f(x) for the last x it was given. A profile's fields may
+// differ from draw to draw (a scratch can serve several profiles), so the
+// value is checked, not assumed; the cache lives in the scratch, never in
+// the profile that servers on several goroutines share.
+type memo struct {
+	x, fx float64
+	set   bool
+}
+
+func (m *memo) of(x float64, f func(float64) float64) float64 {
+	if !m.set || m.x != x {
+		m.x, m.fx, m.set = x, f(x), true
+	}
+	return m.fx
 }
 
 // Sample draws one invocation: the total CPU time is log-normal around
@@ -163,8 +185,11 @@ func (p *Profile) Sample(rng *stats.RNG) Invocation {
 // Sample draw for draw — a run keeps its exact event sequence no matter
 // which entry point generated its invocations.
 func (p *Profile) SampleInto(rng *stats.RNG, s *SampleScratch) Invocation {
-	totalCPU := lognormalWithMean(rng, float64(p.MeanCPU), p.CPUSigma)
-	nIO := samplePoisson(rng, p.MeanIOCalls)
+	totalCPU := lognormalWithMean(rng, s.cpuLog.of(float64(p.MeanCPU), mathLog), p.CPUSigma)
+	nIO := 0
+	if p.MeanIOCalls > 0 {
+		nIO = samplePoisson(rng, s.ioZero.of(-p.MeanIOCalls, mathExp))
+	}
 	if cap(s.phases) < nIO+1 {
 		// Headroom: growing to exactly nIO+1 would reallocate on every
 		// new maximum the Poisson draw reaches.
@@ -185,7 +210,7 @@ func (p *Profile) SampleInto(rng *stats.RNG, s *SampleScratch) Invocation {
 			ph.CPU = sim.Microsecond
 		}
 		if i < nIO {
-			ph.IO = sim.Duration(lognormalWithMean(rng, float64(p.IOMean), p.IOSigma))
+			ph.IO = sim.Duration(lognormalWithMean(rng, s.ioLog.of(float64(p.IOMean), mathLog), p.IOSigma))
 			if ph.IO < sim.Microsecond {
 				ph.IO = sim.Microsecond
 			}
@@ -196,19 +221,16 @@ func (p *Profile) SampleInto(rng *stats.RNG, s *SampleScratch) Invocation {
 }
 
 // lognormalWithMean samples a log-normal with the requested arithmetic mean
-// (not median) and sigma.
-func lognormalWithMean(rng *stats.RNG, mean, sigma float64) float64 {
-	mu := mathLog(mean) - sigma*sigma/2
+// (not median) and sigma, given the mean's logarithm.
+func lognormalWithMean(rng *stats.RNG, logMean, sigma float64) float64 {
+	mu := logMean - sigma*sigma/2
 	return rng.LogNormal(mu, sigma)
 }
 
-// samplePoisson draws a small Poisson count via inversion; means here are
-// tiny (< 5), so the loop is short.
-func samplePoisson(rng *stats.RNG, mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	l := mathExp(-mean)
+// samplePoisson draws a small Poisson count via inversion, given
+// l = exp(-mean) for a positive mean; means here are tiny (< 5), so the
+// loop is short.
+func samplePoisson(rng *stats.RNG, l float64) int {
 	k, p := 0, 1.0
 	for {
 		p *= rng.Float64()

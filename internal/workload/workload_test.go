@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"hardharvest/internal/sim"
@@ -209,17 +210,45 @@ func TestPoissonSampler(t *testing.T) {
 	var sum int
 	const n = 50000
 	for i := 0; i < n; i++ {
-		sum += samplePoisson(rng, 2.5)
+		sum += samplePoisson(rng, math.Exp(-2.5))
 	}
 	mean := float64(sum) / n
 	if math.Abs(mean-2.5) > 0.05 {
 		t.Fatalf("poisson mean = %v", mean)
 	}
-	if samplePoisson(rng, 0) != 0 {
-		t.Fatal("poisson(0) != 0")
+	// A zero or negative mean draws no I/O call at all.
+	for _, calls := range []float64{0, -1} {
+		p := Profile{MeanCPU: 100 * sim.Microsecond, CPUSigma: 0.3, MeanIOCalls: calls,
+			IOMean: 100 * sim.Microsecond, IOSigma: 0.3}
+		if inv := p.Sample(rng); inv.IOCalls() != 0 || len(inv.Phases) != 1 {
+			t.Fatalf("poisson(%v): %d phases, %d I/O calls; want 1 and 0", calls, len(inv.Phases), inv.IOCalls())
+		}
 	}
-	if samplePoisson(rng, -1) != 0 {
-		t.Fatal("poisson(neg) != 0")
+}
+
+// TestSampleIntoRemembersConstants: a scratch that keeps log(MeanCPU),
+// log(IOMean) and exp(-MeanIOCalls) between draws gives the same draws as a
+// fresh one, while it alternates between profiles and after a profile's
+// fields change.
+func TestSampleIntoRemembersConstants(t *testing.T) {
+	a, b := *profileNamed(t, "Text"), *profileNamed(t, "CPost")
+	warm, cold := stats.NewRNG(3), stats.NewRNG(3)
+	var s SampleScratch
+	for i := 0; i < 2000; i++ {
+		p := &a
+		if i%3 == 0 {
+			p = &b
+		}
+		if i == 1000 {
+			a.MeanCPU *= 2
+			a.IOMean /= 2
+			a.MeanIOCalls = 0
+		}
+		got := p.SampleInto(warm, &s)
+		want := p.Sample(cold)
+		if !reflect.DeepEqual(got.Phases, want.Phases) {
+			t.Fatalf("draw %d: warm scratch %v, fresh %v", i, got.Phases, want.Phases)
+		}
 	}
 }
 
@@ -228,7 +257,7 @@ func TestLognormalWithMean(t *testing.T) {
 	var sum float64
 	const n = 100000
 	for i := 0; i < n; i++ {
-		sum += lognormalWithMean(rng, 250, 0.5)
+		sum += lognormalWithMean(rng, math.Log(250), 0.5)
 	}
 	mean := sum / n
 	if math.Abs(mean-250)/250 > 0.02 {

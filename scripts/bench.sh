@@ -24,8 +24,11 @@
 # ns-gated benchmarks run with -count 5 and are scored on the per-benchmark
 # minimum (min-of-5 strips scheduler/turbo noise far better than a mean);
 # the remaining benchmarks are allocation pins, which are deterministic, so
-# one repeat suffices. Every tripped gate is reported with its measured and
-# pinned values.
+# one repeat suffices. The engine microbenchmarks (ENGINE_RE) time one
+# queue operation of tens of nanoseconds, so they run at ENGINE_BENCHTIME
+# iterations, min-of-5, where their ns/op reads the operation rather than
+# timer and warm-up noise. Every tripped gate is reported with its measured
+# and pinned values.
 #
 # The baseline is committed so reviewers can see the pinned numbers and CI
 # can gate on allocation and hot-path-latency regressions.
@@ -45,12 +48,15 @@ CHECK=0
 # the live serve runner (BenchmarkServeStep routed, BenchmarkServeSingle on
 # one server).
 NS_GATED_RE='BenchmarkServerSimulation$'
-OTHER_RE='BenchmarkControllerCycle$|BenchmarkServerNilObserver|BenchmarkEngineScheduleCall$|BenchmarkEngineScheduleClosure|BenchmarkEngineHeapChurn|BenchmarkShardedVsSerial|BenchmarkRoutedFleet$|BenchmarkGraphDispatch$|BenchmarkScenarioRun$|BenchmarkServerSoftware$|BenchmarkServeStep$|BenchmarkServeSingle$'
+ENGINE_RE='BenchmarkEngine(ScheduleCall|ScheduleClosure|HeapChurn|Hold)$'
+ENGINE_BENCHTIME=200000x
+OTHER_RE='BenchmarkControllerCycle$|BenchmarkServerNilObserver|BenchmarkShardedVsSerial|BenchmarkRoutedFleet$|BenchmarkGraphDispatch$|BenchmarkScenarioRun$|BenchmarkServerSoftware$|BenchmarkServeStep$|BenchmarkServeSingle$'
 OUT=$(mktemp)
 trap 'rm -f "$OUT"' EXIT
 
 # -benchtime 5x keeps the suite fast while still amortising setup.
 go test -run '^$' -bench "$NS_GATED_RE" -benchtime 5x -benchmem -count 5 ./... 2>&1 | tee "$OUT"
+go test -run '^$' -bench "$ENGINE_RE" -benchtime "$ENGINE_BENCHTIME" -benchmem -count 5 ./internal/sim/ 2>&1 | tee -a "$OUT"
 go test -run '^$' -bench "$OTHER_RE" -benchtime 5x -benchmem -count 1 ./... 2>&1 | tee -a "$OUT"
 
 python3 - "$OUT" "$CHECK" <<'EOF'
